@@ -43,6 +43,17 @@ func latencySetup(seed uint64) (Config, *data.Generator) {
 	}, gen
 }
 
+// setSchedule selects a step schedule by name: "sequential", "blocking",
+// "overlapped" or "pipelined".
+func setSchedule(cfg *Config, name string) {
+	cfg.Sequential = name == "sequential"
+	cfg.Overlap = name == "overlapped"
+	cfg.Pipeline = 0
+	if name == "pipelined" {
+		cfg.Pipeline = 1
+	}
+}
+
 // runSteps trains `steps` steps and returns the per-step mean losses.
 func runSteps(t *testing.T, cfg Config, gen *data.Generator, steps int) (*Trainer, []float64) {
 	t.Helper()
