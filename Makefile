@@ -145,8 +145,10 @@ bench-hotpath:
 # codec must allocate strictly less per op than the unfused composition it
 # replaced, with the pooled encode paths pinned at zero steady-state
 # allocations, and (c) the pooled EmbeddingBag backward stays O(1) allocs.
+# Gate (a) is a wall-clock ratio, so it builds only under the hotpath tag
+# and runs here with -p 1, never inside the parallel `go test ./...`.
 bench-hotpath-check:
-	$(GO) test -run '^TestHotpathParallelMatMulSpeedup$$' -v ./internal/tensor
+	$(GO) test -tags hotpath -p 1 -run '^TestHotpathParallelMatMulSpeedup$$' -v ./internal/tensor
 	$(GO) test -run '^(TestFusedCutsAllocs|TestPooledEncodeAllocs)$$' -v ./internal/quant
 	$(GO) test -run '^TestEmbeddingBackwardAllocs$$' -v ./internal/nn
 

@@ -66,9 +66,9 @@ func TestCompressedParallelMatchesSequentialBitwise(t *testing.T) {
 		cfg, gen := testSetup(12)
 		cfg.Compression = Compression{Gradient: s, Embedding: s}
 		seqCfg := cfg
-		seqCfg.Sequential = true
+		seqCfg.Schedule = Sequential
 		ovCfg := cfg
-		ovCfg.Overlap = true
+		ovCfg.Schedule = Overlapped
 		par, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

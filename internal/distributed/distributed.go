@@ -4,26 +4,25 @@
 // with intra-host gradient reduction (§3.2), and the over-arch runs fully
 // data-parallel with a global gradient average (§2.2).
 //
-// The training engine is rank-parallel: every phase of a step runs one
-// goroutine per rank under comm.Run, exactly like the SPTT dataflow — dense
-// forward/backward per rank, over-arch gradient averaging via a real
-// AllReduce on the global group, tower-module gradients reduced intra-host
-// inside SPTTBackward, and sparse updates applied by each table's owner
-// rank. A sequential reference step (Config.Sequential) executes the same
-// mathematics in a single goroutine with centralized averaging loops, for
-// benchmarking and as a bitwise cross-check. A third schedule
-// (Config.Overlap, see overlap.go) reorders the rank-parallel step onto
-// non-blocking collectives so embedding and gradient communication hide
-// behind dense compute; Stats splits communication time into exposed vs
-// hidden to measure exactly how much was hidden.
+// One rank-parallel step runs the dataflow: every phase runs one goroutine
+// per rank under comm.Run — dense forward/backward per rank, over-arch
+// gradient averaging through bucketed collectives on the global group,
+// tower-module gradients reduced intra-host inside SPTTBackward, and sparse
+// updates applied by each table's owner rank. Config.Schedule picks how
+// that step orders its compute and communication (Blocking, Overlapped or
+// Pipelined, see schedule.go); Sequential instead runs the same mathematics
+// in a single goroutine with centralized averaging loops, as the bitwise
+// oracle. Stats splits communication time into exposed vs hidden to
+// measure how much each schedule hides.
 //
 // Gradients are normalized so that one distributed step over G ranks with
 // local batch B is mathematically identical to one single-process step over
 // the concatenated global batch of G·B samples — the package test verifies
 // the two trajectories agree step for step, which is the training-paradigm
 // counterpart of the sptt package's forward/backward equivalence theorems.
-// Because the comm runtime reduces in source-rank order, the rank-parallel
-// and sequential paths are bitwise identical, not merely close.
+// Because the comm runtime reduces in source-rank order and no schedule
+// changes what a collective computes, every schedule is bitwise identical
+// to the sequential oracle, not merely close.
 package distributed
 
 import (
@@ -56,36 +55,13 @@ type Config struct {
 	SparseLR float32
 	// Seed drives table initialization.
 	Seed uint64
-	// Sequential selects the single-goroutine reference step instead of the
-	// rank-parallel engine. Both follow bitwise-identical trajectories; the
-	// sequential path exists as the benchmark baseline and cross-check.
-	Sequential bool
-	// Overlap selects the overlapped rank-parallel schedule: the SPTT
-	// forward's cross-host peer AlltoAll runs concurrently with the
-	// bottom-MLP forward, and the over-arch gradient AllReduce is launched
-	// in readiness-ordered buckets during the dense backward and completed
-	// behind the SPTT backward. Purely a scheduling change — per-parameter
-	// reductions still combine in source-rank order, so the trajectory is
-	// bitwise identical to the sequential and rank-parallel engines.
-	// Mutually exclusive with Sequential.
-	Overlap bool
-	// Pipeline selects the cross-step pipelined schedule (pipeline.go) at
-	// the given depth: the overlapped schedule extended across step
-	// boundaries, so step N's gradient buckets complete while step N+1's
-	// SPTT step (f) peer AlltoAll and bottom-MLP forward are already
-	// running, and the reverse peer AlltoAll hides under the bottom-MLP
-	// backward via the backward-side sptt hook. Supported depths are 0
-	// (off) and 1 (buckets span one boundary). The over-arch Adam update
-	// moves behind the boundary with them — still applied before the
-	// parameters are read, so the trajectory stays bitwise identical to
-	// the sequential engine; Trainer.Drain (called by Close) completes the
-	// final step's carried work. Requires conflict-free table ownership,
-	// asserted at plan time — on a conflict the trainer falls back to the
-	// overlapped schedule (see PipelineFallback). Mutually exclusive with
-	// Sequential and with Overlap.
-	Pipeline int
-	// BucketBytes caps how many gradient bytes one overlapped AllReduce
-	// bucket carries. Parameters are always grouped whole: encoding
+	// Schedule selects how the step orders compute and communication. The
+	// zero value is Blocking. Every schedule follows the same bitwise
+	// trajectory; they differ only in what the step's communication hides
+	// behind (see Schedule).
+	Schedule Schedule
+	// BucketBytes caps how many gradient bytes one AllReduce bucket
+	// carries. Parameters are always grouped whole: encoding
 	// boundaries must match the golden per-parameter trajectory, or
 	// compressed runs would quantize over different row structures and
 	// break bitwise identity. 0 means 64 KiB. Degenerate values are
@@ -155,7 +131,7 @@ type Trainer struct {
 	modules  []sptt.TowerModule
 	// Each rank's dense optimizers: identical state keeps replicas in
 	// lockstep. The over-arch and tower-module parameter sets get separate
-	// Adam instances because the pipelined schedule applies their updates
+	// Adam instances because the Pipelined schedule applies their updates
 	// in different phases (over-arch behind the step boundary, tower
 	// module inside the step). nn.Adam state is per-parameter and the two
 	// sets are disjoint, so splitting the optimizer is value-neutral: each
@@ -177,8 +153,8 @@ type Trainer struct {
 	// parameter, (L-1) copies of the gradient leave the rank.
 	tmReduceBytes int64
 	stats         Stats
-	// buckets is the overlapped schedule's launch plan for the over-arch
-	// gradient reduction, in launch order (identical on every rank).
+	// buckets is the launch plan for the over-arch gradient reduction, in
+	// launch order (identical on every rank).
 	buckets []gradBucket
 	// Cumulative world-group timing at the end of the previous step, so
 	// each step can charge its own exposed/hidden delta.
@@ -199,7 +175,7 @@ type Trainer struct {
 	// residuals[g][pi] is rank g's error-feedback memory for over-arch
 	// parameter pi: the part of g+r the wire scheme rounded away last step.
 	// Allocated only when Compression.Gradient is active; each rank writes
-	// only its own slots, so the rank-parallel engine needs no locking.
+	// only its own slots, so the rank-parallel step needs no locking.
 	residuals [][]*tensor.Tensor
 
 	// arenas[g] is rank g's persistent wire scratch for the over-arch
@@ -207,10 +183,11 @@ type Trainer struct {
 	// (see launchBucket). Unused by the sequential reference path.
 	arenas []bucketArena
 
-	// Cross-step pipelining state (Config.Pipeline): the previous step's
-	// still-in-flight gradient buckets, and the fallback reason when the
-	// plan-time conflict assertion rejected pipelining.
-	carry            *pipelineCarry
+	// Pipelined-schedule state: carried[g] is rank g's still-in-flight
+	// gradient buckets from the previous step (nil when nothing is carried),
+	// and pipelineFallback is the plan-time conflict that downgraded a
+	// Pipelined config to Overlapped.
+	carried          [][]pendingBucket
 	pipelineFallback string
 }
 
@@ -229,18 +206,28 @@ type bucketArena struct {
 	encs [][]*quant.Encoded
 }
 
-// PhaseTimes is cumulative wall-clock per step phase.
+// PhaseTimes is cumulative time per step phase: wall time, or the
+// network's mean virtual time when Config.Fabric is set. The phases are the
+// step's comm.Run boundaries; under the Overlapped and Pipelined schedules
+// compute and communication deliberately cross them, so ExposedComm and
+// HiddenComm are the sharper lens there.
 type PhaseTimes struct {
-	// EmbComm covers the SPTT embedding dataflow: forward distribution with
-	// tower-module compression plus the backward pass (which also carries
-	// the intra-tower gradient reduction).
+	// EmbComm covers the SPTT forward and backward (the backward also
+	// carries the intra-tower gradient reduction), including whatever dense
+	// work the schedule runs in their hooks: the bottom-MLP forward under
+	// Overlapped and Pipelined, the bottom-MLP backward and the carried
+	// bucket completion under Pipelined.
 	EmbComm time.Duration
-	// Dense covers per-rank over-arch forward/backward and loss.
+	// Dense covers the per-rank dense forward/backward and loss left
+	// outside the SPTT hooks, plus the bucket launches made there.
 	Dense time.Duration
-	// GradExchange covers over-arch gradient averaging and the tower/sparse
-	// gradient normalization.
+	// GradExchange covers the tower/sparse gradient normalization and the
+	// bucket waits placed after the SPTT backward: every launch and wait
+	// under Blocking, every wait under Overlapped, none under Pipelined.
 	GradExchange time.Duration
-	// Update covers dense optimizer steps and owner-applied sparse updates.
+	// Update covers the dense optimizer steps and owner-applied sparse
+	// updates. Under Pipelined the over-arch Adam step is deferred to the
+	// next step's forward hook (or Drain).
 	Update time.Duration
 	// ExposedComm is the mean-per-rank time ranks actually spent blocked in
 	// collective receives — communication the schedule failed to hide. It
@@ -249,17 +236,16 @@ type PhaseTimes struct {
 	ExposedComm time.Duration
 	// HiddenComm is the mean-per-rank in-flight window of non-blocking
 	// collectives between issue and Wait — communication covered by
-	// overlapping compute. Near zero for the blocking schedules; under
-	// Config.Overlap it is the quantity the refactor exists to maximize.
-	// Windows of concurrently in-flight collectives are merged (interval
-	// union), so a rank's hidden time never exceeds the time it actually
-	// executed.
+	// overlapping compute. Zero for Blocking and Sequential; the quantity
+	// Overlapped and Pipelined exist to maximize. Windows of concurrently
+	// in-flight collectives are merged (interval union), so a rank's hidden
+	// time never exceeds the time it actually executed.
 	HiddenComm time.Duration
-	// CrossStepExposed/CrossStepHidden sub-attribute the pipelined
-	// schedule's carried gradient buckets: of the completing step's
-	// ExposedComm/HiddenComm, the share spent finishing buckets launched
-	// by the PREVIOUS step (Config.Pipeline). They are a breakdown of the
-	// totals above, not additive to them; zero for the other schedules.
+	// CrossStepExposed/CrossStepHidden sub-attribute the Pipelined
+	// schedule's carried gradient buckets: of ExposedComm/HiddenComm, the
+	// share spent finishing buckets launched by the PREVIOUS step (in the
+	// forward hook or Drain). They are a breakdown of the totals above, not
+	// additive to them; zero for the other schedules.
 	CrossStepExposed time.Duration
 	CrossStepHidden  time.Duration
 }
@@ -273,19 +259,22 @@ type PhaseTimes struct {
 // from wall time.
 type SimTimes struct {
 	// DenseFwd/DenseBwd are the modeled over-arch forward/backward compute
-	// per rank (identical on every rank by symmetry).
+	// per rank (identical on every rank by symmetry, and on every schedule:
+	// a schedule moves the compute, never resizes it).
 	DenseFwd time.Duration
 	DenseBwd time.Duration
 	// SPTT forward/backward modeled communication, split into transfer
-	// time the schedule exposed vs hid behind compute.
+	// time the schedule exposed vs hid behind compute: the bottom-MLP
+	// forward hides the forward peer AlltoAll under Overlapped and
+	// Pipelined, the bottom-MLP backward hides the reverse one under
+	// Pipelined.
 	SPTTFwdExposed time.Duration
 	SPTTFwdHidden  time.Duration
 	SPTTBwdExposed time.Duration
 	SPTTBwdHidden  time.Duration
-	// Cross-step carried-bucket exposure (mirrors
-	// PhaseTimes.CrossStepExposed/Hidden in modeled virtual time): what
-	// the previous step's gradient buckets cost / hid when the pipelined
-	// schedule completed them under the next step's forward.
+	// CrossStepExposed/CrossStepHidden mirror PhaseTimes.CrossStepExposed/
+	// Hidden in modeled virtual time: what the Pipelined schedule's carried
+	// buckets cost / hid when completed under the next step's forward.
 	CrossStepExposed time.Duration
 	CrossStepHidden  time.Duration
 }
@@ -339,17 +328,8 @@ func New(cfg Config) (*Trainer, error) {
 	if len(cfg.Model.Towers) != t {
 		return nil, fmt.Errorf("distributed: %d towers for %d hosts", len(cfg.Model.Towers), t)
 	}
-	if cfg.Overlap && cfg.Sequential {
-		return nil, fmt.Errorf("distributed: Overlap requires the rank-parallel engine (Sequential=false)")
-	}
-	if cfg.Pipeline < 0 || cfg.Pipeline > 1 {
-		return nil, fmt.Errorf("distributed: Pipeline depth %d unsupported (0 disables, 1 spans one step boundary)", cfg.Pipeline)
-	}
-	if cfg.Pipeline > 0 && cfg.Sequential {
-		return nil, fmt.Errorf("distributed: Pipeline requires the rank-parallel engine (Sequential=false)")
-	}
-	if cfg.Pipeline > 0 && cfg.Overlap {
-		return nil, fmt.Errorf("distributed: Pipeline and Overlap are distinct schedules; set at most one")
+	if cfg.Schedule < Blocking || cfg.Schedule > Sequential {
+		return nil, fmt.Errorf("distributed: unknown Schedule %d", cfg.Schedule)
 	}
 	ordered, towerOf, rankOf, err := TowersInHostOrder(cfg.Model.Towers, cfg.Model.Schema.NumSparse(), cfg.L)
 	if err != nil {
@@ -443,7 +423,7 @@ func New(cfg Config) (*Trainer, error) {
 			tr.residuals = append(tr.residuals, rs)
 		}
 	}
-	if !cfg.Sequential {
+	if cfg.Schedule != Sequential {
 		tr.arenas = make([]bucketArena, cfg.G)
 		for g := 0; g < cfg.G; g++ {
 			a := &tr.arenas[g]
@@ -467,9 +447,10 @@ func New(cfg Config) (*Trainer, error) {
 			}
 		}
 	}
-	if cfg.Pipeline > 0 {
+	if cfg.Schedule == Pipelined {
 		if err := tr.pipelinePlanCheck(); err != nil {
 			tr.pipelineFallback = err.Error()
+			tr.cfg.Schedule = Overlapped
 		}
 	}
 	return tr, nil
@@ -567,7 +548,7 @@ func (tr *Trainer) Stats() Stats {
 func (tr *Trainer) Tier() embeddings.Tier { return tr.tier }
 
 // Close tears the trainer down: it completes any cross-step carried work
-// (Drain, a no-op outside the pipelined schedule) and stops the embedding
+// (Drain, a no-op outside the Pipelined schedule) and stops the embedding
 // tier's server goroutines (a no-op for the in-process tier). The trainer
 // must not be stepped after Close.
 func (tr *Trainer) Close() {
@@ -593,108 +574,10 @@ func (tr *Trainer) Step(batches []*data.Batch) StepResult {
 	for g, b := range batches {
 		inputs[g] = &sptt.Inputs{Indices: b.Indices, Offsets: b.Offsets}
 	}
-	if cfg.Sequential {
+	if cfg.Schedule == Sequential {
 		return tr.stepSequential(batches, inputs)
 	}
-	if cfg.Pipeline > 0 && tr.pipelineFallback == "" {
-		return tr.stepPipelined(batches, inputs)
-	}
-	if cfg.Overlap || cfg.Pipeline > 0 {
-		return tr.stepOverlapped(batches, inputs)
-	}
-	return tr.stepParallel(batches, inputs)
-}
-
-// denseRank is rank g's share of the dense phase — over-arch forward, loss,
-// and backward on the rank-local replica. Both engines call it (from a plain
-// loop or from one goroutine per rank under comm.Run), so the seq/parallel
-// bitwise equivalence of the dense mathematics holds by construction.
-func (tr *Trainer) denseRank(g int, batches []*data.Batch, compressed, dCompressed []*tensor.Tensor, res *StepResult) {
-	m := tr.replicas[g]
-	for _, p := range m.DenseParams() {
-		p.ZeroGrad()
-	}
-	logits := m.ForwardDense(batches[g].Dense, compressed[g])
-	res.PerRankLoss[g] = tr.loss[g].Forward(logits, batches[g].Labels)
-	tr.charge(g, tr.bottomFwd+tr.topFwd)
-	dCompressed[g] = m.BackwardDense(tr.loss[g].Backward())
-	tr.charge(g, tr.bottomBwd+tr.topBwd)
-}
-
-// stepParallel is the rank-parallel engine: four phases, each with one
-// goroutine per rank. The SPTT phases build their own communicator families;
-// the dense phases share the trainer's persistent world group.
-func (tr *Trainer) stepParallel(batches []*data.Batch, inputs []*sptt.Inputs) StepResult {
-	cfg := tr.cfg
-	lap := tr.phaseClock()
-	compressed, st := tr.engine.SPTTForwardCompressed(inputs, tr.modules,
-		sptt.Options{Comms: sptt.Comms{CrossHost: cfg.Compression.Embedding, Net: tr.net}})
-	embFwd := lap()
-
-	// Dense forward/backward, one goroutine per rank. Replicas, losses, and
-	// per-rank result slots are disjoint, so no synchronization beyond the
-	// Run join is needed.
-	res := StepResult{PerRankLoss: make([]float64, cfg.G)}
-	dCompressed := make([]*tensor.Tensor, cfg.G)
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.denseRank(c.Rank(), batches, compressed, dCompressed, &res)
-	})
-	// Summed in rank order after the join so the mean is deterministic.
-	for g := 0; g < cfg.G; g++ {
-		res.MeanLoss += res.PerRankLoss[g] / float64(cfg.G)
-	}
-	dense := lap()
-
-	// Backward through the dataflow: tower-module gradients are reduced
-	// intra-host inside SPTTBackward; sparse gradients land at the owners.
-	sparse := tr.engine.SPTTBackward(st, dCompressed)
-	embBwd := lap()
-
-	// Gradient normalization to the global-batch mean (see package doc):
-	// over-arch gradients average across all ranks via AllReduce (the comm
-	// runtime reduces in source-rank order, so every rank's result is
-	// bit-identical to the sequential path's centralized average);
-	// tower-module gradients arrive host-summed over all G·B samples and
-	// divide by G; sparse gradients likewise, scaled by their owner.
-	invG := 1 / float32(cfg.G)
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.reduceOverArch(c, invG)
-		tr.scaleRank(c.Rank(), sparse, invG)
-	})
-	gradEx := lap()
-
-	// Updates: each rank steps its over-arch and its own tower module; each
-	// owner rank applies sparse updates to its canonical tables.
-	comm.Run(tr.world, func(c *comm.Comm) {
-		tr.updateRank(c.Rank(), sparse)
-	})
-	update := lap()
-
-	exposed, hidden := tr.commTimes(st)
-	tr.account(st, PhaseTimes{
-		EmbComm:      embFwd + embBwd,
-		Dense:        dense,
-		GradExchange: gradEx,
-		Update:       update,
-		ExposedComm:  exposed,
-		HiddenComm:   hidden,
-	})
-	return res
-}
-
-// reduceOverArch averages this rank's over-arch gradients across all ranks
-// on the world group, one blocking bucket collective at a time. With
-// gradient compression active each rank sends its contribution g + r over
-// the compressed wire and remembers the round-trip error r for the next
-// step; decoding is deterministic and the sum runs in source-rank order, so
-// every rank still obtains bit-identical averages. The overlapped schedule
-// runs the same launchBucket/finishBucket pair split across the backward.
-func (tr *Trainer) reduceOverArch(c *comm.Comm, invG float32) {
-	g := c.Rank()
-	params := tr.replicas[g].OverArchParams()
-	for _, b := range tr.buckets {
-		tr.finishBucket(g, params, tr.launchBucket(c, g, params, b), invG)
-	}
+	return tr.stepRanks(batches, inputs)
 }
 
 // pendingBucket is one in-flight gradient bucket: the single batched
@@ -778,8 +661,7 @@ func (tr *Trainer) finishBucket(g int, params []*nn.Param, pb pendingBucket, inv
 
 // scaleRank normalizes rank g's tower-module gradients and the sparse
 // gradients of its owned features to the global-batch mean — the
-// non-over-arch share of the gradient-exchange phase, common to the
-// blocking and overlapped schedules.
+// non-over-arch share of the gradient-exchange phase.
 func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32) {
 	for _, p := range tr.modules[g].Params() {
 		d := p.Grad.Data()
@@ -797,15 +679,6 @@ func (tr *Trainer) scaleRank(g int, sparse map[int]*nn.SparseGrad, invG float32)
 	}
 }
 
-// updateRank runs rank g's update phase: dense optimizer over the over-arch
-// and its own tower module, plus the owner's sparse updates through the
-// embedding tier. Common to the blocking and overlapped schedules.
-func (tr *Trainer) updateRank(g int, sparse map[int]*nn.SparseGrad) {
-	tr.overOpts[g].Step(tr.replicas[g].OverArchParams())
-	tr.tmOpts[g].Step(tr.modules[g].Params())
-	tr.applySparse(g, sparse)
-}
-
 // applySparse ships rank g's owned sparse gradients through its tier store.
 // The Update is issued even when the rank owns nothing: remote stores count
 // one round per client per phase (round symmetry).
@@ -819,9 +692,10 @@ func (tr *Trainer) applySparse(g int, sparse map[int]*nn.SparseGrad) {
 	tr.tier.Client(g).Update(ups)
 }
 
-// stepSequential is the single-goroutine reference: identical mathematics,
-// with the dense phases executed rank by rank and gradients averaged through
-// centralized cross-replica loops instead of collectives.
+// stepSequential is the Sequential schedule's single-goroutine oracle:
+// identical mathematics, with the dense phases executed rank by rank and
+// gradients averaged through centralized cross-replica loops instead of
+// collectives.
 func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) StepResult {
 	cfg := tr.cfg
 	lap := tr.phaseClock()
@@ -832,7 +706,15 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 	res := StepResult{PerRankLoss: make([]float64, cfg.G)}
 	dCompressed := make([]*tensor.Tensor, cfg.G)
 	for g := 0; g < cfg.G; g++ {
-		tr.denseRank(g, batches, compressed, dCompressed, &res)
+		m := tr.replicas[g]
+		for _, p := range m.DenseParams() {
+			p.ZeroGrad()
+		}
+		logits := m.ForwardDense(batches[g].Dense, compressed[g])
+		res.PerRankLoss[g] = tr.loss[g].Forward(logits, batches[g].Labels)
+		tr.charge(g, tr.bottomFwd+tr.topFwd)
+		dCompressed[g] = m.BackwardDense(tr.loss[g].Backward())
+		tr.charge(g, tr.bottomBwd+tr.topBwd)
 		res.MeanLoss += res.PerRankLoss[g] / float64(cfg.G)
 	}
 	dense := lap()
@@ -854,9 +736,10 @@ func (tr *Trainer) stepSequential(batches []*data.Batch, inputs []*sptt.Inputs) 
 				tensor.AddInPlace(avg, overArch[g][pi].Grad)
 			}
 		} else {
-			// Centralized mirror of reduceOverArch: quantize each rank's
-			// g + r contribution (quant.Apply is exactly the wire round
-			// trip), update that rank's residual, sum in rank order.
+			// Centralized mirror of launchBucket/finishBucket: quantize
+			// each rank's g + r contribution (quant.Apply is exactly the
+			// wire round trip), update that rank's residual, sum in rank
+			// order.
 			for g := 0; g < cfg.G; g++ {
 				v := overArch[g][pi].Grad.Clone()
 				tensor.AddInPlace(v, tr.residuals[g][pi])
@@ -930,21 +813,14 @@ func (tr *Trainer) commTimes(st *sptt.SPTTState) (exposed, hidden time.Duration)
 }
 
 // account folds one step's phase times and SPTT traffic into the cumulative
-// stats. Every PhaseTimes field must be folded here — the package test
-// walks the struct by reflection and fails on a field account forgot. The
-// intra-tower gradient reduction rides SPTTBackward's host groups, so its
-// (analytically known, purely intra-host) volume is moved from the
-// embedding counters to the gradient counters.
+// stats. Every PhaseTimes field must be folded (by foldPhases) — the
+// package test walks the struct by reflection and fails on a field account
+// forgot. The intra-tower gradient reduction rides SPTTBackward's host
+// groups, so its (analytically known, purely intra-host) volume is moved
+// from the embedding counters to the gradient counters.
 func (tr *Trainer) account(st *sptt.SPTTState, ph PhaseTimes) {
 	tr.stats.Steps++
-	tr.stats.Phases.EmbComm += ph.EmbComm
-	tr.stats.Phases.Dense += ph.Dense
-	tr.stats.Phases.GradExchange += ph.GradExchange
-	tr.stats.Phases.Update += ph.Update
-	tr.stats.Phases.ExposedComm += ph.ExposedComm
-	tr.stats.Phases.HiddenComm += ph.HiddenComm
-	tr.stats.Phases.CrossStepExposed += ph.CrossStepExposed
-	tr.stats.Phases.CrossStepHidden += ph.CrossStepHidden
+	tr.foldPhases(ph)
 	if tr.net != nil {
 		g := time.Duration(tr.cfg.G)
 		tr.stats.Sim.DenseFwd += tr.bottomFwd + tr.topFwd
@@ -953,8 +829,6 @@ func (tr *Trainer) account(st *sptt.SPTTState, ph PhaseTimes) {
 		tr.stats.Sim.SPTTFwdHidden += st.HiddenComm / g
 		tr.stats.Sim.SPTTBwdExposed += st.BwdExposedComm / g
 		tr.stats.Sim.SPTTBwdHidden += st.BwdHiddenComm / g
-		tr.stats.Sim.CrossStepExposed += ph.CrossStepExposed
-		tr.stats.Sim.CrossStepHidden += ph.CrossStepHidden
 	}
 	for _, m := range [][][]int64{
 		st.GlobalTraffic, st.HostTraffic, st.PeerTraffic,
@@ -965,6 +839,24 @@ func (tr *Trainer) account(st *sptt.SPTTState, ph PhaseTimes) {
 		tr.stats.EmbCrossHostBytes += cross
 	}
 	tr.stats.EmbIntraHostBytes -= tr.tmReduceBytes
+}
+
+// foldPhases adds ph to the cumulative phase times and, in simulated-latency
+// mode, mirrors its cross-step split into Sim. Drain folds through it
+// alone: it completes carried work without counting a step.
+func (tr *Trainer) foldPhases(ph PhaseTimes) {
+	tr.stats.Phases.EmbComm += ph.EmbComm
+	tr.stats.Phases.Dense += ph.Dense
+	tr.stats.Phases.GradExchange += ph.GradExchange
+	tr.stats.Phases.Update += ph.Update
+	tr.stats.Phases.ExposedComm += ph.ExposedComm
+	tr.stats.Phases.HiddenComm += ph.HiddenComm
+	tr.stats.Phases.CrossStepExposed += ph.CrossStepExposed
+	tr.stats.Phases.CrossStepHidden += ph.CrossStepHidden
+	if tr.net != nil {
+		tr.stats.Sim.CrossStepExposed += ph.CrossStepExposed
+		tr.stats.Sim.CrossStepHidden += ph.CrossStepHidden
+	}
 }
 
 // ReplicasInSync checks that every rank's over-arch parameters and every

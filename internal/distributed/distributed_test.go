@@ -172,8 +172,7 @@ func TestDistributedLossDecreases(t *testing.T) {
 func runBitwiseEngines(t *testing.T, cfg Config, gen *data.Generator, candidates map[string]Config, steps int) {
 	t.Helper()
 	seqCfg := cfg
-	seqCfg.Sequential = true
-	seqCfg.Overlap = false
+	seqCfg.Schedule = Sequential
 	seq, err := New(seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +233,7 @@ func runBitwiseEngines(t *testing.T, cfg Config, gen *data.Generator, candidates
 func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	cfg, gen := testSetup(7)
 	overlapCfg := cfg
-	overlapCfg.Overlap = true
+	overlapCfg.Schedule = Overlapped
 	// A tiny bucket cap forces one parameter per bucket, exercising the
 	// multi-bucket launch/wait ordering.
 	tinyBuckets := overlapCfg
@@ -254,7 +253,7 @@ func TestOverlapMatchesSequentialBitwiseG8(t *testing.T) {
 	cfg.G, cfg.L = 8, 2
 	cfg.Model.Towers = [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
 	overlapCfg := cfg
-	overlapCfg.Overlap = true
+	overlapCfg.Schedule = Overlapped
 	runBitwiseEngines(t, cfg, gen, map[string]Config{"overlapped": overlapCfg}, 3)
 }
 
@@ -264,7 +263,7 @@ func TestOverlapMatchesSequentialBitwiseG8(t *testing.T) {
 // parameter exactly once, in top-before-bottom launch order.
 func TestOverlapStatsAndBuckets(t *testing.T) {
 	cfg, gen := testSetup(15)
-	cfg.Overlap = true
+	cfg.Schedule = Overlapped
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,17 +314,6 @@ func TestOverlapStatsAndBuckets(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOverlapSequential: the two engine selectors are mutually
-// exclusive.
-func TestNewRejectsOverlapSequential(t *testing.T) {
-	cfg, _ := testSetup(16)
-	cfg.Sequential = true
-	cfg.Overlap = true
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Overlap+Sequential must error")
-	}
-}
-
 // TestRankParallelStepConcurrency drives the rank-parallel step at G=8 so
 // `go test -race` exercises every concurrent interaction: parallel dense
 // compute, the over-arch AllReduce, concurrent tower-module scaling, and
@@ -370,7 +358,7 @@ func TestRankParallelStepConcurrency(t *testing.T) {
 // is SPTTBackward's intra-host tower-module reduction.
 func TestSequentialStatsCountTowerReduction(t *testing.T) {
 	cfg, gen := testSetup(10)
-	cfg.Sequential = true
+	cfg.Schedule = Sequential
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

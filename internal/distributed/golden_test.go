@@ -68,7 +68,7 @@ func TestGoldenTrajectoryBitwise(t *testing.T) {
 						Seed:      99,
 					},
 					DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
-					Sequential:  true,
+					Schedule:    Sequential,
 					Compression: Compression{Gradient: s, Embedding: s},
 				})
 				if err != nil {

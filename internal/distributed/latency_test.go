@@ -46,12 +46,12 @@ func latencySetup(seed uint64) (Config, *data.Generator) {
 // setSchedule selects a step schedule by name: "sequential", "blocking",
 // "overlapped" or "pipelined".
 func setSchedule(cfg *Config, name string) {
-	cfg.Sequential = name == "sequential"
-	cfg.Overlap = name == "overlapped"
-	cfg.Pipeline = 0
-	if name == "pipelined" {
-		cfg.Pipeline = 1
-	}
+	cfg.Schedule = map[string]Schedule{
+		"sequential": Sequential,
+		"blocking":   Blocking,
+		"overlapped": Overlapped,
+		"pipelined":  Pipelined,
+	}[name]
 }
 
 // runSteps trains `steps` steps and returns the per-step mean losses.
@@ -79,17 +79,13 @@ func TestLatencyTrajectoryMatchesGolden(t *testing.T) {
 	const steps = 3
 	for _, compress := range []quant.Scheme{quant.None, quant.FP16} {
 		cfg, gen := latencySetup(1)
-		cfg.Sequential = true
+		cfg.Schedule = Sequential
 		cfg.Compression = Compression{Gradient: compress, Embedding: compress}
 		golden, goldenLoss := runSteps(t, cfg, gen, steps)
 
-		for _, mode := range []string{"sequential", "rank-parallel", "overlap", "pipeline"} {
+		for _, mode := range []string{"sequential", "blocking", "overlapped", "pipelined"} {
 			cfg, gen := latencySetup(1)
-			cfg.Sequential = mode == "sequential"
-			cfg.Overlap = mode == "overlap"
-			if mode == "pipeline" {
-				cfg.Pipeline = 1
-			}
+			setSchedule(&cfg, mode)
 			cfg.Compression = Compression{Gradient: compress, Embedding: compress}
 			cfg.Fabric = netsim.New(topology.A100)
 			tr, losses := runSteps(t, cfg, gen, steps)
@@ -123,7 +119,7 @@ func TestLatencyTrajectoryMatchesGolden(t *testing.T) {
 func TestLatencyDeterministicPhaseTimes(t *testing.T) {
 	run := func() (Stats, []float64) {
 		cfg, gen := latencySetup(1)
-		cfg.Overlap = true
+		cfg.Schedule = Overlapped
 		cfg.Compression = Compression{Gradient: quant.FP16, Embedding: quant.FP16}
 		cfg.Fabric = netsim.New(topology.A100)
 		tr, losses := runSteps(t, cfg, gen, 3)
@@ -153,18 +149,18 @@ func TestLatencyDeterministicPhaseTimes(t *testing.T) {
 // must expose strictly less than fp32 under the same schedule (wire bytes
 // drive delay).
 func TestLatencyOverlapReducesExposed(t *testing.T) {
-	exposed := func(overlap bool, s quant.Scheme) time.Duration {
+	exposed := func(sched Schedule, s quant.Scheme) time.Duration {
 		cfg, gen := latencySetup(1)
-		cfg.Overlap = overlap
+		cfg.Schedule = sched
 		cfg.Compression = Compression{Gradient: s, Embedding: s}
 		cfg.Fabric = netsim.New(topology.A100)
 		tr, _ := runSteps(t, cfg, gen, 2)
 		return tr.Stats().Phases.ExposedComm
 	}
-	blockFP32 := exposed(false, quant.None)
-	blockFP16 := exposed(false, quant.FP16)
-	overFP32 := exposed(true, quant.None)
-	overFP16 := exposed(true, quant.FP16)
+	blockFP32 := exposed(Blocking, quant.None)
+	blockFP16 := exposed(Blocking, quant.FP16)
+	overFP32 := exposed(Overlapped, quant.None)
+	overFP16 := exposed(Overlapped, quant.FP16)
 	if overFP32 >= blockFP32 {
 		t.Errorf("overlap should reduce modeled exposed comm: %v vs blocking %v (fp32)", overFP32, blockFP32)
 	}
@@ -186,7 +182,7 @@ func TestLatencyOverlapReducesExposed(t *testing.T) {
 // it.
 func TestHiddenNeverExceedsWall(t *testing.T) {
 	cfg, gen := latencySetup(1)
-	cfg.Overlap = true
+	cfg.Schedule = Overlapped
 	cfg.BucketBytes = 64 // one parameter per bucket: maximally concurrent handles
 	tr, err := New(cfg)
 	if err != nil {

@@ -58,14 +58,14 @@ func TestPipelineGoldenTrajectoryBitwise(t *testing.T) {
 						Seed:      99,
 					},
 					DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
-					Pipeline:    1,
+					Schedule:    Pipelined,
 					Compression: Compression{Gradient: s, Embedding: s},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer tr.Close()
-				if !tr.PipelineActive() {
+				if tr.Schedule() != Pipelined {
 					t.Fatalf("pipeline not active: %q", tr.PipelineFallback())
 				}
 				for step := 0; step < steps; step++ {
@@ -95,7 +95,7 @@ func TestPipelineGoldenTrajectoryBitwise(t *testing.T) {
 func TestPipelineMatchesSequentialBitwise(t *testing.T) {
 	cfg, gen := testSetup(7)
 	pipeCfg := cfg
-	pipeCfg.Pipeline = 1
+	pipeCfg.Schedule = Pipelined
 	tinyBuckets := pipeCfg
 	tinyBuckets.BucketBytes = 1
 	runBitwiseEngines(t, cfg, gen, map[string]Config{
@@ -108,7 +108,7 @@ func TestPipelineMatchesSequentialBitwise(t *testing.T) {
 	cfg16, gen16 := testSetup(7)
 	cfg16.Compression = Compression{Gradient: quant.FP16, Embedding: quant.FP16}
 	pipe16 := cfg16
-	pipe16.Pipeline = 1
+	pipe16.Schedule = Pipelined
 	runBitwiseEngines(t, cfg16, gen16, map[string]Config{"pipelined/fp16": pipe16}, 5)
 }
 
@@ -118,10 +118,10 @@ func TestPipelineMatchesSequentialBitwise(t *testing.T) {
 func TestPipelineDrainMidTrainingContinues(t *testing.T) {
 	cfg, gen := testSetup(11)
 	pipeCfg := cfg
-	pipeCfg.Pipeline = 1
+	pipeCfg.Schedule = Pipelined
 
 	seqCfg := cfg
-	seqCfg.Sequential = true
+	seqCfg.Schedule = Sequential
 	seq, err := New(seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,23 +155,13 @@ func TestPipelineDrainMidTrainingContinues(t *testing.T) {
 	}
 }
 
-// TestNewRejectsPipelineCombos: the schedule selectors are mutually
-// exclusive and only depth 0/1 is supported.
-func TestNewRejectsPipelineCombos(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"pipeline+sequential", func(c *Config) { c.Pipeline = 1; c.Sequential = true }},
-		{"pipeline+overlap", func(c *Config) { c.Pipeline = 1; c.Overlap = true }},
-		{"depth 2", func(c *Config) { c.Pipeline = 2 }},
-		{"negative depth", func(c *Config) { c.Pipeline = -1 }},
-	} {
-		cfg, _ := testSetup(16)
-		tc.mut(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("%s must error", tc.name)
-		}
+// TestNewRejectsUnknownSchedule: New accepts only the four declared
+// schedules.
+func TestNewRejectsUnknownSchedule(t *testing.T) {
+	cfg, _ := testSetup(16)
+	cfg.Schedule = Sequential + 1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("out-of-range Schedule must error")
 	}
 }
 
@@ -229,20 +219,20 @@ func TestPipelineConflictFallsBackToOverlapped(t *testing.T) {
 
 	cfg, gen := testSetup(18)
 	pipeCfg := cfg
-	pipeCfg.Pipeline = 1
+	pipeCfg.Schedule = Pipelined
 	tr, err := New(pipeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.PipelineActive() {
-		t.Fatal("conflicting plan left pipelining active")
+	if got := tr.Schedule(); got != Overlapped {
+		t.Fatalf("conflicting plan runs schedule %d, want Overlapped", got)
 	}
 	if !strings.Contains(tr.PipelineFallback(), "injected for test") {
 		t.Fatalf("fallback reason not recorded: %q", tr.PipelineFallback())
 	}
 
 	seqCfg := cfg
-	seqCfg.Sequential = true
+	seqCfg.Schedule = Sequential
 	seq, err := New(seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +265,14 @@ func TestPipelineRaceHammer(t *testing.T) {
 	cfg, gen := testSetup(19)
 	cfg.G, cfg.L = 8, 4
 	cfg.Model.Towers = [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	cfg.Pipeline = 1
+	cfg.Schedule = Pipelined
 	cfg.BucketBytes = 1
 	cfg.Compression = Compression{Gradient: quant.FP16, Embedding: quant.FP16}
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.PipelineActive() {
+	if tr.Schedule() != Pipelined {
 		t.Fatalf("pipeline not active: %q", tr.PipelineFallback())
 	}
 
@@ -331,7 +321,7 @@ func TestPipelineRaceHammer(t *testing.T) {
 // hidden totals they sub-attribute, and mirror into the Sim breakdown.
 func TestPipelineCrossStepAccounting(t *testing.T) {
 	cfg, gen := latencySetup(1)
-	cfg.Pipeline = 1
+	cfg.Schedule = Pipelined
 	cfg.Compression = Compression{Gradient: quant.FP16, Embedding: quant.FP16}
 	cfg.Fabric = netsim.New(topology.A100)
 	tr, _ := runSteps(t, cfg, gen, 3)
@@ -367,13 +357,10 @@ func TestPipelineCrossStepAccounting(t *testing.T) {
 // already fits inside the backward window and both schedules expose the
 // same (irreducible) SPTT transfer chain.
 func TestLatencyPipelineReducesExposedBelowOverlap(t *testing.T) {
-	exposed := func(pipeline bool, s quant.Scheme) (time.Duration, time.Duration) {
+	exposed := func(sched Schedule, s quant.Scheme) (time.Duration, time.Duration) {
 		cfg, gen := latencySetup(1)
 		cfg.Model.TopMLP = []int{512, 256}
-		cfg.Overlap = !pipeline
-		if pipeline {
-			cfg.Pipeline = 1
-		}
+		cfg.Schedule = sched
 		cfg.Compression = Compression{Gradient: s, Embedding: s}
 		cfg.Fabric = netsim.New(topology.A100)
 		tr, _ := runSteps(t, cfg, gen, 3)
@@ -382,8 +369,8 @@ func TestLatencyPipelineReducesExposedBelowOverlap(t *testing.T) {
 		return st.Phases.ExposedComm, st.Phases.CrossStepHidden
 	}
 	for _, s := range []quant.Scheme{quant.None, quant.FP16} {
-		over, _ := exposed(false, s)
-		pipe, crossH := exposed(true, s)
+		over, _ := exposed(Overlapped, s)
+		pipe, crossH := exposed(Pipelined, s)
 		if pipe >= over {
 			t.Errorf("%s: pipelined exposed %v not strictly below overlapped %v", s, pipe, over)
 		}

@@ -16,8 +16,8 @@ import (
 // behind the same step's dense and embedding backward; when the over-arch
 // is large enough that its bucket drain outlasts that backward window, the
 // excess surfaces as exposed time at the boundary while the next step's
-// SPTT forward sits idle. The pipelined schedule (distributed.Config.
-// Pipeline) lets those buckets complete behind the next step's forward
+// SPTT forward sits idle. The pipelined schedule (distributed.Pipelined)
+// lets those buckets complete behind the next step's forward
 // instead, and this table measures exactly that: same trajectory, same
 // wire bytes, strictly less exposed communication.
 

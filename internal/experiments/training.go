@@ -31,15 +31,17 @@ type TrainingProfile struct {
 	// Compress selects the wire scheme for gradient (with error feedback)
 	// and cross-host embedding traffic; None trains uncompressed.
 	Compress quant.Scheme
-	// Overlap adds a third measured engine: the overlapped rank-parallel
-	// schedule (distributed.Config.Overlap), which hides the SPTT peer
-	// AlltoAll behind the bottom-MLP forward and the bucketed gradient
-	// AllReduce behind the dense and embedding backward.
+	// Overlap selects the distributed.Overlapped schedule, which hides the
+	// SPTT peer AlltoAll behind the bottom-MLP forward and the bucketed
+	// gradient AllReduce behind the dense and embedding backward; in
+	// TrainingThroughput it adds an "overlapped" row. It takes precedence
+	// over Pipeline.
 	Overlap bool
-	// Pipeline adds the cross-step pipelined engine
-	// (distributed.Config.Pipeline): the overlapped schedule extended
-	// across step boundaries, with step N's gradient buckets completing
-	// under step N+1's SPTT forward.
+	// Pipeline selects the distributed.Pipelined schedule: Overlapped
+	// extended across step boundaries, with step N's gradient buckets
+	// completing under step N+1's SPTT forward. In TrainingThroughput it
+	// adds a "pipelined" row. With neither flag set, trainers run
+	// distributed.Blocking.
 	Pipeline bool
 	// Fabric, when non-nil, runs the engines in simulated-latency mode: the
 	// comm runtime delivers messages after this fabric's modeled transfer
@@ -96,6 +98,8 @@ type TrainingReport struct {
 
 // NewTrainer builds a distributed trainer for a profile — shared by the
 // experiment below, cmd/dmt-bench, and the root BenchmarkDistributedStep.
+// The schedule is Sequential when sequential is set, else Overlapped,
+// Pipelined or Blocking by the profile's flags in that order.
 func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data.Generator, error) {
 	dcfg := data.CriteoLike(1)
 	dcfg.Cardinalities = make([]int, p.Features)
@@ -107,6 +111,15 @@ func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data
 	dcfg.NumGroups = p.G / p.L
 	gen := data.NewGenerator(dcfg)
 
+	schedule := distributed.Blocking
+	switch {
+	case sequential:
+		schedule = distributed.Sequential
+	case p.Overlap:
+		schedule = distributed.Overlapped
+	case p.Pipeline:
+		schedule = distributed.Pipelined
+	}
 	cfg := distributed.Config{
 		G: p.G, L: p.L, LocalBatch: p.LocalBatch,
 		Model: models.DMTDLRMConfig{
@@ -118,9 +131,7 @@ func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data
 			Seed:      99,
 		},
 		DenseLR: 1e-3, SparseLR: 1e-2, Seed: 7,
-		Sequential: sequential,
-		Overlap:    p.Overlap && !sequential,
-		Pipeline:   b2i(p.Pipeline && !sequential && !p.Overlap),
+		Schedule: schedule,
 		Compression: distributed.Compression{
 			Gradient:  p.Compress,
 			Embedding: p.Compress,
@@ -133,13 +144,6 @@ func NewTrainer(p TrainingProfile, sequential bool) (*distributed.Trainer, *data
 	}
 	tr, err := distributed.New(cfg)
 	return tr, gen, err
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TrainingBatches materializes step-indexed per-rank local batches.
