@@ -152,12 +152,13 @@ bench-hotpath-check:
 	$(GO) test -run '^(TestFusedCutsAllocs|TestPooledEncodeAllocs)$$' -v ./internal/quant
 	$(GO) test -run '^TestEmbeddingBackwardAllocs$$' -v ./internal/nn
 
-# Short native-fuzz runs over the wire codec (go test allows one -fuzz
-# target per invocation, hence the separate runs).
+# Short native-fuzz runs over the wire codec and the collectives (go test
+# allows one -fuzz target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectiveInterleaving$$' -fuzztime 10s ./internal/comm
 
 serve-demo:
 	$(GO) run ./cmd/dmt-serve -requests 8192 -concurrency 32

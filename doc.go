@@ -16,6 +16,5 @@
 // by the public planning API (internal/core).
 //
 // The root bench_test.go regenerates every table and figure of the paper's
-// evaluation; see DESIGN.md for the per-experiment index and EXPERIMENTS.md
-// for paper-versus-measured results.
+// evaluation; the README's Quickstart lists the commands that print them.
 package dmt

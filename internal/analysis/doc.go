@@ -4,12 +4,13 @@
 //
 // Nine PRs in, the correctness story rests on conventions that were
 // documented in comments and caught only at runtime — by AssertDrained,
-// by checkIdle panics, or by the golden-trajectory CI gates noticing a
-// bit flipped. dmt-lint turns each convention into a compile-time
+// by the issue-order panic in Pending.Wait and Barrier's idle guard, or by
+// the golden-trajectory CI gates noticing a bit flipped. dmt-lint turns each convention into a compile-time
 // property:
 //
-//   - pendingwait: every comm.Pending returned by a non-blocking
-//     collective reaches Wait() or Carry() on all control-flow paths
+//   - pendingwait: every comm.Pending returned by a collective
+//     (IAllGatherQ, IAllReduceSumQ, ...) reaches Wait() or Carry() on all
+//     control-flow paths
 //     before scope exit, unless ownership transfers (stored in a bucket
 //     arena, passed on, returned, captured). Catches leaked handles
 //     before the runtime guards do.

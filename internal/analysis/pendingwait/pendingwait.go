@@ -3,14 +3,14 @@
 //
 // # Invariant
 //
-// A comm.Pending returned by a non-blocking collective (IAllGather,
+// A comm.Pending returned by a collective (IAllGatherQ,
 // IAlltoAllTensorsQ, ...) is an open obligation on its rank's mailbox
 // ordering: handles must be waited in issue order, and a handle that is
 // never Wait()ed leaves payloads queued in peer mailboxes, which the next
 // collective on the group will misinterpret as its own. The runtime only
-// catches this late — checkIdle panics at the next blocking call, or
-// AssertDrained at teardown — and only on executions that reach those
-// guards. This analyzer makes the obligation a compile-time property:
+// catches this late — Wait panics when a later handle is waited first,
+// checkIdle at the next Barrier, AssertDrained at teardown — and only on
+// executions that reach those guards. This analyzer makes the obligation a compile-time property:
 // on every control-flow path from the call that produced the handle to
 // the function's return, the handle must reach Wait(), Carry(), or an
 // ownership transfer (stored into a struct or slice such as the trainer's
@@ -19,7 +19,7 @@
 //
 // # Suppression
 //
-//	h := c.IAllGather(x) //dmt:pending-ok <reason>
+//	h := c.IAllGatherQ(s, x) //dmt:pending-ok <reason>
 //
 // A justified marker on (or immediately above) the acquisition line
 // suppresses the diagnostic; tests that deliberately leak a handle to

@@ -3,26 +3,19 @@ package comm
 import (
 	"fmt"
 	"time"
-
-	"dmt/internal/tensor"
 )
 
-// Non-blocking collectives. Each I* variant posts its sends immediately —
-// in this in-process runtime a post never blocks, because mailboxes are
-// unbounded — and returns a Pending handle whose Wait() drains the receives
-// and performs any reduction. Between issue and Wait the caller is free to
-// do rank-local compute; that window is the "hidden" communication time the
-// overlapped training schedule is built on.
-//
-// Determinism is unchanged: Wait receives in source-rank order and
-// reductions accumulate in rank order, so an I* collective is bitwise
-// identical to its blocking form. The blocking collectives are in fact
-// implemented as I*-plus-immediate-Wait.
+// Pending handles. Every collective posts its sends immediately — in this
+// in-process runtime a post never blocks, because mailboxes are unbounded —
+// and returns a Pending handle whose Wait() drains the receives and performs
+// any reduction. Between issue and Wait the caller is free to do rank-local
+// compute; that window is the "hidden" communication time the overlapped
+// training schedule is built on. Waiting at once is the blocking form.
 
 // Pending is an in-flight collective of result type T. Wait must be called
 // by the issuing rank's own goroutine (or a later goroutine for the same
 // rank, sequenced by a Run join), and handles on one group must be waited
-// in issue order with no other collective on that group in between —
+// in issue order with no Barrier on that group in between —
 // per-pair mailbox FIFO is the wire format, so waiting out of order would
 // hand one collective another's payloads. Wait enforces the order and
 // panics on a violation. Wait is idempotent: the result is cached.
@@ -44,11 +37,11 @@ type Pending[T any] struct {
 // Carry marks the handle as deliberately left in flight across a logical
 // step boundary. It does not change Wait semantics — the handle must still
 // be waited by this rank (or a later goroutine for the same rank, sequenced
-// by a Run join), in issue order, before any blocking collective runs on
-// the group. What it changes is bookkeeping: the rank's idle guards
-// (checkIdle, AssertDrained) report carried handles as pipelined rather
-// than leaked, so a cross-step schedule can hold gradient buckets open into
-// the next step without tripping the leak diagnostics.
+// by a Run join), in issue order, before a Barrier runs on the group. What
+// it changes is bookkeeping: the rank's idle guards (checkIdle,
+// AssertDrained) report carried handles as pipelined rather than leaked,
+// so a cross-step schedule can hold gradient buckets open into the next
+// step without tripping the leak diagnostics.
 func (p *Pending[T]) Carry() {
 	if p.done || p.carried {
 		return
@@ -119,115 +112,4 @@ func (p *Pending[T]) Wait() T {
 	p.fn = nil
 	p.done = true
 	return p.v
-}
-
-// IAlltoAllTensors posts chunks[j] to rank j and returns a handle that
-// resolves to the received chunks indexed by source rank.
-func (c *Comm) IAlltoAllTensors(chunks []*tensor.Tensor) *Pending[[]*tensor.Tensor] {
-	n := c.g.size
-	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: AlltoAll needs %d chunks, got %d", n, len(chunks)))
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], tensorBytes(chunks[d]))
-	}
-	return newPending(c, func() []*tensor.Tensor {
-		out := make([]*tensor.Tensor, n)
-		for s := 0; s < n; s++ {
-			if v := c.recv(s); v != nil {
-				out[s] = v.(*tensor.Tensor)
-			}
-		}
-		return out
-	})
-}
-
-// IAlltoAllInt32 is IAlltoAllTensors for index payloads.
-func (c *Comm) IAlltoAllInt32(chunks [][]int32) *Pending[[][]int32] {
-	n := c.g.size
-	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: AlltoAllInt32 needs %d chunks, got %d", n, len(chunks)))
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], 4*len(chunks[d]))
-	}
-	return newPending(c, func() [][]int32 {
-		out := make([][]int32, n)
-		for s := 0; s < n; s++ {
-			if v := c.recv(s); v != nil {
-				out[s] = v.([]int32)
-			}
-		}
-		return out
-	})
-}
-
-// IAllGather posts x to every rank and returns a handle resolving to the
-// gathered tensors indexed by source.
-func (c *Comm) IAllGather(x *tensor.Tensor) *Pending[[]*tensor.Tensor] {
-	chunks := make([]*tensor.Tensor, c.g.size)
-	for d := range chunks {
-		chunks[d] = x
-	}
-	return c.IAlltoAllTensors(chunks)
-}
-
-// IAllReduceSum posts x to every rank and returns a handle resolving to the
-// elementwise sum of every rank's contribution, accumulated in rank order
-// (bit-identical on all ranks).
-func (c *Comm) IAllReduceSum(x *tensor.Tensor) *Pending[*tensor.Tensor] {
-	n := c.g.size
-	for d := 0; d < n; d++ {
-		c.send(d, x, tensorBytes(x))
-	}
-	return newPending(c, func() *tensor.Tensor {
-		out := c.recv(0).(*tensor.Tensor).Clone()
-		for s := 1; s < n; s++ {
-			tensor.AddInPlace(out, c.recv(s).(*tensor.Tensor))
-		}
-		return out
-	})
-}
-
-// IAllGatherBatch posts the whole slice xs to every rank as ONE mailbox
-// message and returns a handle resolving to the gathered slices, indexed
-// [src][i]. The batched form exists for gradient bucketing: b tensors
-// travel as one message instead of b, amortizing per-message
-// synchronization (the in-process analog of coalescing small gradients
-// into one NCCL launch). Tensors are delivered by reference.
-func (c *Comm) IAllGatherBatch(xs []*tensor.Tensor) *Pending[[][]*tensor.Tensor] {
-	n := c.g.size
-	bytes := 0
-	for _, x := range xs {
-		bytes += tensorBytes(x)
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, xs, bytes)
-	}
-	return newPending(c, func() [][]*tensor.Tensor {
-		out := make([][]*tensor.Tensor, n)
-		for s := 0; s < n; s++ {
-			out[s] = c.recv(s).([]*tensor.Tensor)
-		}
-		return out
-	})
-}
-
-// IReduceScatterSum posts chunks[j] to rank j and returns a handle resolving
-// to the rank-ordered sum of the chunks addressed to this rank.
-func (c *Comm) IReduceScatterSum(chunks []*tensor.Tensor) *Pending[*tensor.Tensor] {
-	n := c.g.size
-	if len(chunks) != n {
-		panic(fmt.Sprintf("comm: ReduceScatter needs %d chunks, got %d", n, len(chunks)))
-	}
-	for d := 0; d < n; d++ {
-		c.send(d, chunks[d], tensorBytes(chunks[d]))
-	}
-	return newPending(c, func() *tensor.Tensor {
-		out := c.recv(0).(*tensor.Tensor).Clone()
-		for s := 1; s < n; s++ {
-			tensor.AddInPlace(out, c.recv(s).(*tensor.Tensor))
-		}
-		return out
-	})
 }

@@ -1,41 +1,76 @@
 package comm
 
 import (
-	"fmt"
 	"testing"
 
 	"dmt/internal/quant"
 	"dmt/internal/tensor"
 )
 
-// TestCompressedWireAccounting: the traffic counters must charge the wire
-// size of the encoded payload, not the raw fp32 bytes — 2 bytes/element for
-// fp16; 1 byte/element plus a 4-byte per-row scale for int8.
+// TestCompressedWireAccounting: every tensor collective must charge the
+// traffic counters the wire size of its encoded payloads, not the raw fp32
+// bytes — 4 bytes/element raw, 2 for fp16, 1 plus a 4-byte per-row scale
+// for int8, half that plus the scale for int4 — and a nil AlltoAll chunk
+// must charge nothing.
 func TestCompressedWireAccounting(t *testing.T) {
 	const n, elems = 3, 10 // 1-D tensors: one scale per payload
-	cases := []struct {
-		scheme    quant.Scheme
-		wantBytes int64
-	}{
-		{quant.None, 4 * elems},
-		{quant.FP16, 2 * elems},
-		{quant.INT8, 1*elems + 4},
-		{quant.INT4, (elems+1)/2 + 4},
+	perPayload := map[quant.Scheme]int64{
+		quant.None: 4 * elems,
+		quant.FP16: 2 * elems,
+		quant.INT8: elems + 4,
+		quant.INT4: (elems+1)/2 + 4,
 	}
-	for _, tc := range cases {
-		comms := NewGroup(n)
-		Run(comms, func(c *Comm) {
-			chunks := make([]*tensor.Tensor, n)
-			for d := 0; d < n; d++ {
-				chunks[d] = tensor.Full(float32(c.Rank()+1), elems)
+	x := func(c *Comm) *tensor.Tensor { return tensor.Full(float32(c.Rank()+1), elems) }
+	chunks := func(c *Comm) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, n)
+		for d := range out {
+			out[d] = x(c)
+		}
+		return out
+	}
+	one := func(src, dst int) int64 { return 1 }
+	collectives := []struct {
+		name string
+		run  func(c *Comm, s quant.Scheme)
+		// payloads is how many payloads the (src, dst) link carries.
+		payloads func(src, dst int) int64
+	}{
+		{"AlltoAll", func(c *Comm, s quant.Scheme) {
+			c.IAlltoAllTensorsQ(s, chunks(c)).Wait()
+		}, one},
+		{"AlltoAll/nil chunk", func(c *Comm, s quant.Scheme) {
+			ch := chunks(c)
+			ch[(c.Rank()+1)%n] = nil
+			c.IAlltoAllTensorsQ(s, ch).Wait()
+		}, func(src, dst int) int64 {
+			if dst == (src+1)%n {
+				return 0
 			}
-			c.AlltoAllTensorsQ(tc.scheme, chunks)
-		})
-		m := TrafficMatrix(comms)
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if m[s][d] != tc.wantBytes {
-					t.Fatalf("%s: traffic[%d][%d] = %d, want %d", tc.scheme, s, d, m[s][d], tc.wantBytes)
+			return 1
+		}},
+		{"AllGather", func(c *Comm, s quant.Scheme) {
+			c.IAllGatherQ(s, x(c)).Wait()
+		}, one},
+		{"AllGatherBatch", func(c *Comm, s quant.Scheme) {
+			c.IAllGatherBatchQ(s, []*tensor.Tensor{x(c), x(c)}).Wait()
+		}, func(src, dst int) int64 { return 2 }},
+		{"AllReduce", func(c *Comm, s quant.Scheme) {
+			c.IAllReduceSumQ(s, x(c)).Wait()
+		}, one},
+		{"ReduceScatter", func(c *Comm, s quant.Scheme) {
+			c.IReduceScatterSumQ(s, chunks(c)).Wait()
+		}, one},
+	}
+	for _, col := range collectives {
+		for _, s := range quant.Schemes() {
+			comms := NewGroup(n)
+			Run(comms, func(c *Comm) { col.run(c, s) })
+			m := TrafficMatrix(comms)
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if want := col.payloads(src, dst) * perPayload[s]; m[src][dst] != want {
+						t.Fatalf("%s/%s: traffic[%d][%d] = %d, want %d", col.name, s, src, dst, m[src][dst], want)
+					}
 				}
 			}
 		}
@@ -62,7 +97,7 @@ func TestCompressedAlltoAllDeliversQuantized(t *testing.T) {
 		got := make([][]*tensor.Tensor, n)
 		comms := NewGroup(n)
 		Run(comms, func(c *Comm) {
-			got[c.Rank()] = c.AlltoAllTensorsQ(s, orig[c.Rank()])
+			got[c.Rank()] = c.IAlltoAllTensorsQ(s, orig[c.Rank()]).Wait()
 		})
 		for dst := 0; dst < n; dst++ {
 			for src := 0; src < n; src++ {
@@ -76,30 +111,6 @@ func TestCompressedAlltoAllDeliversQuantized(t *testing.T) {
 				if !got[dst][src].Equal(want) {
 					t.Fatalf("%s: dst %d src %d decoded payload differs from Apply", s, dst, src)
 				}
-			}
-		}
-	}
-}
-
-// TestBroadcastQAllRanksIdentical: the root must see the same quantized
-// values as every receiver, not its raw tensor.
-func TestBroadcastQAllRanksIdentical(t *testing.T) {
-	const n = 4
-	x := tensor.RandN(tensor.NewRNG(5), 1, 2, 6)
-	for _, s := range []quant.Scheme{quant.FP16, quant.INT8} {
-		out := make([]*tensor.Tensor, n)
-		comms := NewGroup(n)
-		Run(comms, func(c *Comm) {
-			var in *tensor.Tensor
-			if c.Rank() == 1 {
-				in = x
-			}
-			out[c.Rank()] = c.BroadcastQ(s, in, 1)
-		})
-		want := quant.Apply(s, x)
-		for rk := 0; rk < n; rk++ {
-			if !out[rk].Equal(want) {
-				t.Fatalf("%s: rank %d broadcast differs from quantized root payload", s, rk)
 			}
 		}
 	}
@@ -121,7 +132,7 @@ func TestReduceScatterSumQMatchesReference(t *testing.T) {
 		out := make([]*tensor.Tensor, n)
 		comms := NewGroup(n)
 		Run(comms, func(c *Comm) {
-			out[c.Rank()] = c.ReduceScatterSumQ(s, chunks[c.Rank()])
+			out[c.Rank()] = c.IReduceScatterSumQ(s, chunks[c.Rank()]).Wait()
 		})
 		for d := 0; d < n; d++ {
 			want := quant.Apply(s, chunks[0][d]).Clone()
@@ -135,8 +146,8 @@ func TestReduceScatterSumQMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCompressedCollectivesConcurrencyAgree drives compressed AllReduceSum
-// and AlltoAllTensors at G=8 under comm.Run — the `-race` workout for the
+// TestCompressedCollectivesConcurrencyAgree drives IAllReduceSumQ
+// and IAlltoAllTensorsQ at G=8 under comm.Run — the `-race` workout for the
 // compressed wire path — and checks that every rank's AllReduce result is
 // bit-identical across ranks and equal to the sequential reference (the
 // rank-ordered sum of each rank's quantized contribution).
@@ -166,8 +177,8 @@ func TestCompressedCollectivesConcurrencyAgree(t *testing.T) {
 		comms := NewGroup(g)
 		Run(comms, func(c *Comm) {
 			for round := 0; round < rounds; round++ {
-				sums[c.Rank()][round] = c.AllReduceSumQ(s, xs[round][c.Rank()])
-				a2a[c.Rank()][round] = c.AlltoAllTensorsQ(s, chunks[round][c.Rank()])
+				sums[c.Rank()][round] = c.IAllReduceSumQ(s, xs[round][c.Rank()]).Wait()
+				a2a[c.Rank()][round] = c.IAlltoAllTensorsQ(s, chunks[round][c.Rank()]).Wait()
 			}
 		})
 		for round := 0; round < rounds; round++ {
@@ -232,22 +243,86 @@ func TestSplitByHostRejectsBadWidth(t *testing.T) {
 	}
 }
 
-// TestCompressedNoneIsRawPath: the Q variants with quant.None must deliver
-// the sender's tensor by reference, exactly like the raw collectives.
+// TestCompressedNoneIsRawPath: under quant.None the gathers and AlltoAll
+// must deliver the sender's tensor by reference (the zero-copy raw wire),
+// while the reductions must return a fresh tensor that aliases no input and
+// leaves every input untouched.
 func TestCompressedNoneIsRawPath(t *testing.T) {
-	const n = 2
-	x := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	got := make([]*tensor.Tensor, n)
-	comms := NewGroup(n)
-	Run(comms, func(c *Comm) {
-		got[c.Rank()] = c.BroadcastQ(quant.None, x, 0)
-	})
-	for rk := 0; rk < n; rk++ {
-		if got[rk] != x {
-			t.Fatalf("rank %d: None broadcast must deliver by reference", rk)
+	const n = 3
+	xs := make([]*tensor.Tensor, n) // rank r's payload
+	for r := range xs {
+		xs[r] = tensor.FromSlice([]float32{float32(r), 1, 2}, 3)
+	}
+	same := func(c *Comm) []*tensor.Tensor {
+		chunks := make([]*tensor.Tensor, n)
+		for d := range chunks {
+			chunks[d] = xs[c.Rank()]
+		}
+		return chunks
+	}
+	gathers := []struct {
+		name string
+		run  func(c *Comm) []*tensor.Tensor // received payloads by source
+	}{
+		{"AlltoAll", func(c *Comm) []*tensor.Tensor {
+			return c.IAlltoAllTensorsQ(quant.None, same(c)).Wait()
+		}},
+		{"AllGather", func(c *Comm) []*tensor.Tensor {
+			return c.IAllGatherQ(quant.None, xs[c.Rank()]).Wait()
+		}},
+		{"AllGatherBatch", func(c *Comm) []*tensor.Tensor {
+			parts := c.IAllGatherBatchQ(quant.None, []*tensor.Tensor{xs[c.Rank()]}).Wait()
+			out := make([]*tensor.Tensor, len(parts))
+			for src, p := range parts {
+				out[src] = p[0]
+			}
+			return out
+		}},
+	}
+	for _, tc := range gathers {
+		got := make([][]*tensor.Tensor, n)
+		Run(NewGroup(n), func(c *Comm) { got[c.Rank()] = tc.run(c) })
+		for dst := 0; dst < n; dst++ {
+			for src := 0; src < n; src++ {
+				if got[dst][src] != xs[src] {
+					t.Fatalf("%s: rank %d got a copy of rank %d's tensor, want it by reference", tc.name, dst, src)
+				}
+			}
 		}
 	}
-	if fmt.Sprintf("%p", got[0]) != fmt.Sprintf("%p", x) {
-		t.Fatal("pointer identity lost")
+
+	want := tensor.FromSlice([]float32{0 + 1 + 2, 3, 6}, 3)
+	reductions := []struct {
+		name string
+		run  func(c *Comm) *tensor.Tensor
+	}{
+		{"AllReduce", func(c *Comm) *tensor.Tensor {
+			return c.IAllReduceSumQ(quant.None, xs[c.Rank()]).Wait()
+		}},
+		{"ReduceScatter", func(c *Comm) *tensor.Tensor {
+			return c.IReduceScatterSumQ(quant.None, same(c)).Wait()
+		}},
+	}
+	for _, tc := range reductions {
+		got := make([]*tensor.Tensor, n)
+		Run(NewGroup(n), func(c *Comm) { got[c.Rank()] = tc.run(c) })
+		for r := 0; r < n; r++ {
+			if !got[r].Equal(want) {
+				t.Fatalf("%s: rank %d sum %v, want %v", tc.name, r, got[r].Data(), want.Data())
+			}
+			for i, x := range xs {
+				if &got[r].Data()[0] == &x.Data()[0] {
+					t.Fatalf("%s: rank %d result aliases rank %d's input", tc.name, r, i)
+				}
+				if x.Data()[0] != float32(i) || x.Data()[1] != 1 || x.Data()[2] != 2 {
+					t.Fatalf("%s: rank %d's input was mutated to %v", tc.name, i, x.Data())
+				}
+			}
+			for q := 0; q < r; q++ {
+				if &got[r].Data()[0] == &got[q].Data()[0] {
+					t.Fatalf("%s: ranks %d and %d share one result buffer", tc.name, q, r)
+				}
+			}
+		}
 	}
 }

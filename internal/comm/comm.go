@@ -1,18 +1,21 @@
 // Package comm is the in-process collective-communication runtime that
 // stands in for NCCL. Ranks are goroutines; a Group is a private full mesh
 // of unbounded FIFO mailboxes; collectives (AlltoAll, AllReduce,
-// ReduceScatter, AllGather, Broadcast, Barrier) move real tensors between
-// ranks.
+// ReduceScatter, AllGather, Barrier) move real tensors between ranks.
 //
-// Every collective comes in two forms: a blocking call and a non-blocking
-// I* variant (IAlltoAllTensors, IAllReduceSum, ...) that posts its sends
+// Each tensor collective is one non-blocking method that takes the wire
+// scheme as an argument (IAlltoAllTensorsQ, IAllGatherQ, IAllGatherBatchQ,
+// IAllReduceSumQ, IReduceScatterSumQ; IAllGatherBatchEnc for pre-encoded
+// payloads), plus IAlltoAllInt32 for indices. Each posts its sends
 // immediately and returns a Pending handle whose Wait() drains the receives
-// and finishes the reduction. The blocking calls are thin I*-plus-Wait
-// wrappers, so both forms share one implementation, one traffic accounting,
-// and one determinism argument. Handles let callers overlap communication
-// with compute: post, do rank-local work, then Wait — the runtime tracks
-// how long each rank actually blocked (exposed time) versus how long posted
-// collectives sat in flight under compute (hidden time).
+// and finishes the reduction; a blocking call is the handle waited at once.
+// quant.None is the raw wire — payloads by reference — as the None case of
+// the same body, so raw and compressed collectives share one implementation,
+// one traffic accounting, and one determinism argument. Handles let callers
+// overlap communication with compute: post, do rank-local work, then Wait —
+// the runtime tracks how long each rank actually blocked (exposed time)
+// versus how long posted collectives sat in flight under compute (hidden
+// time).
 //
 // The runtime is deterministic: every collective delivers results in source
 // rank order and reductions accumulate in rank order, so repeated runs are
@@ -48,8 +51,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dmt/internal/tensor"
 )
 
 // errCanceled is the panic value delivered to ranks blocked on (or sending
@@ -66,10 +67,10 @@ var errCanceled = errors.New("comm: group canceled")
 // (mailbox FIFO order is the wire format; Wait enforces the order and
 // panics on a violation).
 //
-// Payloads are delivered by reference, not copied (the in-process analog of
-// zero-copy RDMA). A sender must therefore not mutate a tensor after
-// sending it within the same collective epoch; clone first if the buffer
-// will be overwritten.
+// Under quant.None payloads are delivered by reference, not copied (the
+// in-process analog of zero-copy RDMA). A sender must therefore not mutate
+// a tensor after sending it raw within the same collective epoch; snapshot
+// first if the buffer will be overwritten.
 type Comm struct {
 	rank int
 	g    *group
@@ -285,12 +286,6 @@ func CancelGroup(comms []*Comm) {
 	comms[0].g.cancel()
 }
 
-// IsCanceled reports whether a recovered panic value is the cancellation
-// cascade (a peer or CancelGroup poisoned the group) rather than an original
-// failure. Long-lived server loops use it to tell a clean shutdown from a
-// genuine panic.
-func IsCanceled(r any) bool { return r == errCanceled }
-
 // NewGroup creates a fresh instant-delivery group of the given size and
 // returns one Comm per rank. Groups are independent: SPTT builds a global
 // group, one intra-host group per host, and one peer group per local index,
@@ -350,27 +345,6 @@ func NewGroupNet(size int, net *Network, globalRanks []int) []*Comm {
 
 // Rank returns this handle's rank within the group.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the group size.
-func (c *Comm) Size() int { return c.g.size }
-
-// BytesSentTo returns the bytes this rank sent to dst so far. Safe to call
-// while rank goroutines are still running (atomic snapshot).
-func (c *Comm) BytesSentTo(dst int) int64 {
-	return atomic.LoadInt64(&c.g.sent[c.rank][dst])
-}
-
-// BytesSent returns total bytes sent by this rank, excluding self-delivery.
-// Safe to call while rank goroutines are still running.
-func (c *Comm) BytesSent() int64 {
-	var t int64
-	for d := range c.g.sent[c.rank] {
-		if d != c.rank {
-			t += atomic.LoadInt64(&c.g.sent[c.rank][d])
-		}
-	}
-	return t
-}
 
 // Times returns this rank's cumulative collective timing: exposed is
 // communication the schedule failed to hide — wall time actually blocked in
@@ -467,75 +441,23 @@ func (c *Comm) recv(src int) any {
 	return v
 }
 
-func tensorBytes(t *tensor.Tensor) int {
-	if t == nil {
-		return 0
-	}
-	return 4 * t.Len()
-}
-
-// AlltoAllTensors sends chunks[j] to rank j and returns the received chunks
-// indexed by source rank. Chunk shapes may differ per destination (the "V"
-// variant), which the embedding distribution steps rely on.
-func (c *Comm) AlltoAllTensors(chunks []*tensor.Tensor) []*tensor.Tensor {
-	c.checkIdle("AlltoAllTensors")
-	return c.IAlltoAllTensors(chunks).Wait()
-}
-
-// AlltoAllInt32 is AlltoAllTensors for index payloads (the sparse-feature
-// distribution of SPTT/baseline step a sends indices, not embeddings).
-func (c *Comm) AlltoAllInt32(chunks [][]int32) [][]int32 {
-	c.checkIdle("AlltoAllInt32")
-	return c.IAlltoAllInt32(chunks).Wait()
-}
-
-// AllGather distributes x to every rank; the result is indexed by source.
-func (c *Comm) AllGather(x *tensor.Tensor) []*tensor.Tensor {
-	c.checkIdle("AllGather")
-	return c.IAllGather(x).Wait()
-}
-
-// AllReduceSum returns the elementwise sum of every rank's x. The reduction
-// is performed in rank order on every rank, so all ranks obtain bit-identical
-// results (deterministic, unlike real ring reductions).
-func (c *Comm) AllReduceSum(x *tensor.Tensor) *tensor.Tensor {
-	c.checkIdle("AllReduceSum")
-	return c.IAllReduceSum(x).Wait()
-}
-
-// ReduceScatterSum sends chunks[j] to rank j and returns the rank-ordered
-// sum of the chunks addressed to this rank. This is step (d) of SPTT for
-// row-wise-sharded multi-hot tables (§3.1.3), where partial pooled
-// embeddings must be summed rather than concatenated.
-func (c *Comm) ReduceScatterSum(chunks []*tensor.Tensor) *tensor.Tensor {
-	c.checkIdle("ReduceScatterSum")
-	return c.IReduceScatterSum(chunks).Wait()
-}
-
-// checkIdle panics if this rank still has unwaited Pending handles. The
-// direct-receive collectives (Broadcast, Barrier) do not go through the
-// handle sequencing, so running one with a collective in flight would
-// silently steal the pending collective's mailbox payloads. The blocking
-// wrappers — including every compressed Q form — run the same guard before
-// posting their sends: their immediate Wait would panic on the sequencing
-// violation anyway, but by then the sends would already sit in peers'
-// mailboxes, so the guard fails the call loudly BEFORE the wire is touched.
+// checkIdle panics if this rank still has unwaited Pending handles. It
+// guards Barrier, the one collective that receives directly instead of
+// through a handle: running it with a collective in flight would silently
+// steal the pending collective's mailbox payloads, so the guard fails the
+// call loudly BEFORE the wire is touched. Handle-based collectives need no
+// guard — Wait enforces issue order itself.
 func (c *Comm) checkIdle(op string) {
 	if c.waitSeq != c.issueSeq {
 		n := c.issueSeq - c.waitSeq
 		if c.carried > 0 {
-			panic(fmt.Sprintf("comm: rank %d called %s with %d pending handle(s) unwaited (%d carried across a step boundary — finish the pipelined step before issuing blocking collectives)",
+			panic(fmt.Sprintf("comm: rank %d called %s with %d pending handle(s) unwaited (%d carried across a step boundary — finish the pipelined step first)",
 				c.rank, op, n, c.carried))
 		}
 		panic(fmt.Sprintf("comm: rank %d called %s with %d pending handle(s) unwaited",
 			c.rank, op, n))
 	}
 }
-
-// Carried reports how many of this rank's pending handles are marked as
-// deliberately spanning a step boundary (Pending.Carry). Same read rule as
-// Times: valid after the rank goroutines have been joined.
-func (c *Comm) Carried() int { return int(c.carried) }
 
 // AssertDrained panics if any rank of comms still has unwaited Pending
 // handles. The cross-step pipelined trainer calls it after its drain pass:
@@ -548,20 +470,6 @@ func AssertDrained(comms []*Comm) {
 				c.rank, n, c.carried))
 		}
 	}
-}
-
-// Broadcast returns root's x on every rank.
-func (c *Comm) Broadcast(x *tensor.Tensor, root int) *tensor.Tensor {
-	c.checkIdle("Broadcast")
-	if c.rank == root {
-		for d := 0; d < c.g.size; d++ {
-			if d != root {
-				c.send(d, x, tensorBytes(x))
-			}
-		}
-		return x
-	}
-	return c.recv(root).(*tensor.Tensor)
 }
 
 // Barrier blocks until every rank of the group has entered it.

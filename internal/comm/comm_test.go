@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dmt/internal/quant"
 	"dmt/internal/tensor"
 )
 
@@ -19,7 +20,7 @@ func TestAlltoAllTensors(t *testing.T) {
 			// Payload encodes (src, dst) so routing errors are visible.
 			chunks[d] = tensor.FromSlice([]float32{float32(10*c.Rank() + d)}, 1)
 		}
-		results[c.Rank()] = c.AlltoAllTensors(chunks)
+		results[c.Rank()] = c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 	})
 	for dst := 0; dst < n; dst++ {
 		for src := 0; src < n; src++ {
@@ -40,7 +41,7 @@ func TestAlltoAllVariableShapes(t *testing.T) {
 		for d := 0; d < n; d++ {
 			chunks[d] = tensor.Full(float32(c.Rank()), d+1) // length depends on dst
 		}
-		results[c.Rank()] = c.AlltoAllTensors(chunks)
+		results[c.Rank()] = c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 	})
 	for dst := 0; dst < n; dst++ {
 		for src := 0; src < n; src++ {
@@ -61,7 +62,7 @@ func TestAlltoAllInt32(t *testing.T) {
 		for d := 0; d < n; d++ {
 			chunks[d] = []int32{int32(c.Rank()), int32(d)}
 		}
-		results[c.Rank()] = c.AlltoAllInt32(chunks)
+		results[c.Rank()] = c.IAlltoAllInt32(chunks).Wait()
 	})
 	for dst := 0; dst < n; dst++ {
 		for src := 0; src < n; src++ {
@@ -80,8 +81,8 @@ func TestAllGatherAndAllReduce(t *testing.T) {
 	gathers := make([][]*tensor.Tensor, n)
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{float32(c.Rank()), 1}, 2)
-		gathers[c.Rank()] = c.AllGather(x)
-		sums[c.Rank()] = c.AllReduceSum(x)
+		gathers[c.Rank()] = c.IAllGatherQ(quant.None, x).Wait()
+		sums[c.Rank()] = c.IAllReduceSumQ(quant.None, x).Wait()
 	})
 	for r := 0; r < n; r++ {
 		if sums[r].Data()[0] != 10 || sums[r].Data()[1] != 5 {
@@ -110,31 +111,13 @@ func TestReduceScatterSum(t *testing.T) {
 		for d := 0; d < n; d++ {
 			chunks[d] = tensor.FromSlice([]float32{float32(c.Rank() + d)}, 1)
 		}
-		out[c.Rank()] = c.ReduceScatterSum(chunks)
+		out[c.Rank()] = c.IReduceScatterSumQ(quant.None, chunks).Wait()
 	})
 	// Rank d receives sum over src of (src + d) = 3 + 3d for n = 3.
 	for d := 0; d < n; d++ {
 		want := float32(3 + 3*d)
 		if out[d].Data()[0] != want {
 			t.Fatalf("reducescatter rank %d got %v want %v", d, out[d].Data()[0], want)
-		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	const n = 4
-	comms := NewGroup(n)
-	out := make([]*tensor.Tensor, n)
-	Run(comms, func(c *Comm) {
-		var x *tensor.Tensor
-		if c.Rank() == 2 {
-			x = tensor.FromSlice([]float32{7, 8}, 2)
-		}
-		out[c.Rank()] = c.Broadcast(x, 2)
-	})
-	for r := 0; r < n; r++ {
-		if out[r].Data()[0] != 7 || out[r].Data()[1] != 8 {
-			t.Fatalf("broadcast rank %d got %v", r, out[r].Data())
 		}
 	}
 }
@@ -151,7 +134,7 @@ func TestBarrierAndSequencedCollectives(t *testing.T) {
 			for d := 0; d < n; d++ {
 				chunks[d] = tensor.FromSlice([]float32{float32(round)}, 1)
 			}
-			got := c.AlltoAllTensors(chunks)
+			got := c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 			for _, g := range got {
 				if g.Data()[0] != float32(round) {
 					mu.Lock()
@@ -175,7 +158,7 @@ func TestTrafficCounters(t *testing.T) {
 		for d := 0; d < n; d++ {
 			chunks[d] = tensor.New(5) // 20 bytes each
 		}
-		c.AlltoAllTensors(chunks)
+		c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 	})
 	m := TrafficMatrix(comms)
 	for s := 0; s < n; s++ {
@@ -184,13 +167,6 @@ func TestTrafficCounters(t *testing.T) {
 				t.Fatalf("traffic[%d][%d] = %d, want 20", s, d, m[s][d])
 			}
 		}
-	}
-	// BytesSent excludes self-delivery: 2 peers * 20 bytes.
-	if comms[0].BytesSent() != 40 {
-		t.Fatalf("BytesSent = %d", comms[0].BytesSent())
-	}
-	if comms[1].BytesSentTo(2) != 20 {
-		t.Fatalf("BytesSentTo = %d", comms[1].BytesSentTo(2))
 	}
 }
 
@@ -238,8 +214,8 @@ func TestQuickAlltoAllInvolution(t *testing.T) {
 			}
 		}
 		Run(comms, func(c *Comm) {
-			once := c.AlltoAllTensors(orig[c.Rank()])
-			final[c.Rank()] = c.AlltoAllTensors(once)
+			once := c.IAlltoAllTensorsQ(quant.None, orig[c.Rank()]).Wait()
+			final[c.Rank()] = c.IAlltoAllTensorsQ(quant.None, once).Wait()
 		})
 		for i := 0; i < n; i++ {
 			for d := 0; d < n; d++ {
@@ -285,7 +261,7 @@ func TestSplitByHostMatchesMeasuredAllReduce(t *testing.T) {
 		xs[i] = tensor.RandN(r, 1, 8)
 	}
 	Run(comms, func(c *Comm) {
-		c.AllReduceSum(xs[c.Rank()])
+		c.IAllReduceSumQ(quant.None, xs[c.Rank()]).Wait()
 	})
 	intra, cross := SplitByHost(TrafficMatrix(comms), 2)
 	// Each rank sends its 32-byte tensor to 1 intra-host and 2 cross-host

@@ -43,7 +43,7 @@ func TestLatencyModeExposedMatchesModel(t *testing.T) {
 		net := NewNetwork(model, n)
 		comms := NewGroupNet(n, net, nil)
 		Run(comms, func(c *Comm) {
-			c.AllReduceSum(tensor.FromSlice([]float32{float32(c.Rank())}, 1))
+			c.IAllReduceSumQ(quant.None, tensor.FromSlice([]float32{float32(c.Rank())}, 1)).Wait()
 		})
 		for r, c := range comms {
 			e, h := c.Times()
@@ -62,7 +62,7 @@ func TestLatencyModeExposedMatchesModel(t *testing.T) {
 		net := NewNetwork(model, n)
 		comms := NewGroupNet(n, net, nil)
 		Run(comms, func(c *Comm) {
-			h := c.IAllReduceSum(tensor.FromSlice([]float32{float32(c.Rank())}, 1))
+			h := c.IAllReduceSumQ(quant.None, tensor.FromSlice([]float32{float32(c.Rank())}, 1))
 			net.Clock(c.Rank()).Advance(2 * time.Millisecond) // modeled compute
 			h.Wait()
 		})
@@ -91,7 +91,7 @@ func TestLatencyModeWireBytesDriveDelay(t *testing.T) {
 			for i := range x.Data() {
 				x.Data()[i] = float32(i)
 			}
-			c.AllReduceSumQ(s, x)
+			c.IAllReduceSumQ(s, x).Wait()
 		})
 		e, _ := GroupTimes(comms)
 		return e
@@ -122,12 +122,12 @@ func latencyWorkload(g, l int) ([]time.Duration, []time.Duration, []time.Duratio
 			}
 			// Two handles in flight at once, compute between issue and Wait,
 			// then blocking calls (raw and compressed) and a barrier.
-			h1 := c.IAllReduceSum(big)
-			h2 := c.IAllGather(x)
+			h1 := c.IAllReduceSumQ(quant.None, big)
+			h2 := c.IAllGatherQ(quant.None, x)
 			k.Advance(time.Duration(10+step) * time.Microsecond)
 			h1.Wait()
 			h2.Wait()
-			c.AllReduceSumQ(quant.FP16, big)
+			c.IAllReduceSumQ(quant.FP16, big).Wait()
 			k.Advance(5 * time.Microsecond)
 			c.Barrier()
 		}
@@ -181,7 +181,7 @@ func TestLatencyModeConcurrentRanks(t *testing.T) {
 		r := c.Rank()
 		for i := 0; i < 50; i++ {
 			x := tensor.FromSlice([]float32{float32(r*1000 + i)}, 1)
-			h := c.IAllGather(x)
+			h := c.IAllGatherQ(quant.None, x)
 			net.Clock(r).Advance(time.Duration(i) * time.Nanosecond)
 			got := h.Wait()
 			for s := 0; s < g; s++ {
@@ -207,9 +207,9 @@ func TestHiddenWindowsUnion(t *testing.T) {
 	start := time.Now()
 	Run(comms, func(c *Comm) {
 		x := tensor.FromSlice([]float32{float32(c.Rank())}, 1)
-		h1 := c.IAllGather(x)
-		h2 := c.IAllGather(x)
-		h3 := c.IAllGather(x)
+		h1 := c.IAllGatherQ(quant.None, x)
+		h2 := c.IAllGatherQ(quant.None, x)
+		h3 := c.IAllGatherQ(quant.None, x)
 		time.Sleep(20 * time.Millisecond)
 		h1.Wait()
 		h2.Wait()
@@ -227,9 +227,10 @@ func TestHiddenWindowsUnion(t *testing.T) {
 	}
 }
 
-// TestBarrierFailsWithPendingQ: the refuse-to-run-with-handles-pending
-// guard must cover the compressed entry points — a pending IAllGatherBatchQ
-// makes a Barrier fail loudly instead of stealing its mailbox payloads.
+// TestBarrierFailsWithPendingQ: Barrier receives directly rather than
+// through a handle, so it must refuse to run with handles pending — a
+// pending IAllGatherBatchQ makes it fail loudly instead of stealing the
+// handle's mailbox payloads.
 func TestBarrierFailsWithPendingQ(t *testing.T) {
 	comms := NewGroup(2)
 	defer func() {
@@ -245,27 +246,6 @@ func TestBarrierFailsWithPendingQ(t *testing.T) {
 		x := tensor.FromSlice([]float32{1, 2}, 2)
 		h := c.IAllGatherBatchQ(quant.FP16, []*tensor.Tensor{x})
 		c.Barrier()
-		h.Wait()
-	})
-}
-
-// TestBlockingQFailsWithPending: the blocking compressed wrappers guard
-// too, failing before their sends touch the wire.
-func TestBlockingQFailsWithPending(t *testing.T) {
-	comms := NewGroup(2)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "pending handle") {
-			t.Fatalf("panic should mention pending handles: %v", r)
-		}
-	}()
-	Run(comms, func(c *Comm) {
-		x := tensor.FromSlice([]float32{1}, 1)
-		h := c.IAllReduceSum(x)
-		c.AllReduceSumQ(quant.INT8, x)
 		h.Wait()
 	})
 }

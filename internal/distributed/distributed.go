@@ -196,13 +196,11 @@ type Trainer struct {
 // step can launch: no peer can still be reading last step's buffers.
 type bucketArena struct {
 	// contrib holds, per over-arch parameter, the gradient snapshot that
-	// rides the raw (uncompressed) wire in place of a per-step clone.
+	// rides the raw (quant.None) wire by reference in place of a per-step
+	// clone; nil on a compressed wire, where the encode copies anyway.
 	contrib []*tensor.Tensor
-	// vs[bi] aliases the contrib tensors of bucket bi's parameters — the
-	// slice posted as one batched message.
-	vs [][]*tensor.Tensor
-	// encs[bi] holds bucket bi's encoded payload slots (compressed path);
-	// the Encoded values themselves come from quant's buffer pool.
+	// encs[bi] holds bucket bi's payload slots — the slice posted as one
+	// batched message; the Encoded values come from quant's buffer pool.
 	encs [][]*quant.Encoded
 }
 
@@ -431,19 +429,10 @@ func New(cfg Config) (*Trainer, error) {
 				for _, p := range tr.replicas[g].OverArchParams() {
 					a.contrib = append(a.contrib, tensor.New(p.Value.Shape()...))
 				}
-				a.vs = make([][]*tensor.Tensor, len(tr.buckets))
-				for bi, b := range tr.buckets {
-					vs := make([]*tensor.Tensor, len(b.params))
-					for i, pi := range b.params {
-						vs[i] = a.contrib[pi]
-					}
-					a.vs[bi] = vs
-				}
-			} else {
-				a.encs = make([][]*quant.Encoded, len(tr.buckets))
-				for bi, b := range tr.buckets {
-					a.encs[bi] = make([]*quant.Encoded, len(b.params))
-				}
+			}
+			a.encs = make([][]*quant.Encoded, len(tr.buckets))
+			for bi, b := range tr.buckets {
+				a.encs[bi] = make([]*quant.Encoded, len(b.params))
 			}
 		}
 	}
@@ -581,20 +570,18 @@ func (tr *Trainer) Step(batches []*data.Batch) StepResult {
 }
 
 // pendingBucket is one in-flight gradient bucket: the single batched
-// collective carrying every parameter of the bucket. Exactly one handle is
-// set — h for the raw wire, hEnc for the compressed one.
+// collective carrying every parameter of the bucket.
 type pendingBucket struct {
 	params []int
-	h      *comm.Pending[[][]*tensor.Tensor]
-	hEnc   *comm.Pending[[][]*quant.Encoded]
+	h      *comm.Pending[[][]*quant.Encoded]
 }
 
 // launchBucket posts rank g's reduction of one gradient bucket — every
 // parameter of the bucket rides a single batched AllGather message — and
 // returns without waiting. On the raw wire the gradients are snapshotted
-// into the rank's persistent arena before sending: collectives deliver by
-// reference and p.Grad is overwritten while peers may still be reading. On
-// the compressed wire the fused quant.EncodeResidual quantizes g + r
+// into the rank's persistent arena and sent as quant.None payloads: those
+// deliver by reference, and p.Grad is overwritten while peers may still be
+// reading. On the compressed wire the fused quant.EncodeResidual quantizes g + r
 // straight into pooled wire buffers and leaves the refreshed error-feedback
 // residual behind in the same pass — no cloned contribution and no
 // intermediate fp32 tensor ever materializes. Each parameter is still
@@ -603,44 +590,28 @@ type pendingBucket struct {
 func (tr *Trainer) launchBucket(c *comm.Comm, g int, params []*nn.Param, b gradBucket) pendingBucket {
 	s := tr.cfg.Compression.Gradient
 	a := &tr.arenas[g]
-	if s == quant.None {
-		vs := a.vs[b.idx]
-		for i, pi := range b.params {
-			vs[i].CopyFrom(params[pi].Grad)
-		}
-		return pendingBucket{params: b.params, h: c.IAllGatherBatch(vs)}
-	}
 	encs := a.encs[b.idx]
 	for i, pi := range b.params {
-		encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
+		if s == quant.None {
+			a.contrib[pi].CopyFrom(params[pi].Grad)
+			encs[i] = quant.Encode(s, a.contrib[pi])
+		} else {
+			encs[i] = quant.EncodeResidual(s, params[pi].Grad, tr.residuals[g][pi])
+		}
 	}
-	return pendingBucket{params: b.params, hEnc: c.IAllGatherBatchEnc(encs)}
+	return pendingBucket{params: b.params, h: c.IAllGatherBatchEnc(encs)}
 }
 
 // finishBucket completes a launched bucket: waits for every rank's batch,
 // then per parameter accumulates the contributions in source-rank order
 // directly into the parameter gradient, scaled to the global-batch mean.
-// Compressed contributions reduce through the fused DecodeInto/AddTo, so no
-// decoded intermediate is materialized, and every received payload is
-// released back to the wire-buffer pool once consumed. (The error-feedback
-// residual was already refreshed at launch by EncodeResidual.)
+// Contributions reduce through the fused DecodeInto/AddTo (CopyFrom and
+// AddInPlace of the peers' arena snapshots on the raw wire), so no decoded
+// intermediate is materialized, and every received payload is released back
+// to the wire-buffer pool once consumed. (The error-feedback residual was
+// already refreshed at launch by EncodeResidual.)
 func (tr *Trainer) finishBucket(g int, params []*nn.Param, pb pendingBucket, invG float32) {
-	if pb.h != nil {
-		parts := pb.h.Wait() // indexed [src][i], by reference into peer arenas
-		for i, pi := range pb.params {
-			gd := params[pi].Grad
-			gd.CopyFrom(parts[0][i])
-			for src := 1; src < len(parts); src++ {
-				tensor.AddInPlace(gd, parts[src][i])
-			}
-			d := gd.Data()
-			for j, x := range d {
-				d[j] = x * invG
-			}
-		}
-		return
-	}
-	parts := pb.hEnc.Wait() // indexed [src][i]
+	parts := pb.h.Wait() // indexed [src][i]
 	for i, pi := range pb.params {
 		gd := params[pi].Grad
 		parts[0][i].DecodeInto(gd)

@@ -250,10 +250,12 @@ func (tr *Trainer) stepRanks(batches []*data.Batch, inputs []*sptt.Inputs) StepR
 	update := lap()
 
 	if sched == Pipelined {
-		// Leave this step's buckets in flight across the boundary.
+		// Leave this step's buckets in flight across the boundary; Carry
+		// tells the comm runtime's leak guards they are pipelined, not
+		// leaked.
 		for _, pbs := range inflight {
 			for _, pb := range pbs {
-				pb.carry()
+				pb.h.Carry()
 			}
 		}
 		tr.carried = inflight
@@ -309,16 +311,6 @@ func (tr *Trainer) finishCarried(g int, pbs []pendingBucket) (exposed, hidden ti
 	e1, h1 := c.Times()
 	tr.overOpts[g].Step(tr.replicas[g].OverArchParams())
 	return e1 - e0, h1 - h0
-}
-
-// carry marks the bucket's handle as deliberately spanning a step boundary
-// so the comm runtime's leak guards report it as pipelined, not leaked.
-func (pb pendingBucket) carry() {
-	if pb.h != nil {
-		pb.h.Carry()
-		return
-	}
-	pb.hEnc.Carry()
 }
 
 // meanPerRank sums per-rank durations and divides by the rank count.

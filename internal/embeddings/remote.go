@@ -1,6 +1,7 @@
 package embeddings
 
 import (
+	"dmt/internal/quant"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -199,7 +200,7 @@ func (t *RemoteTier) serveLoop(c *comm.Comm) {
 // serveRound answers one client round on a pair group: decode the request,
 // then run the kind's response collectives.
 func (t *RemoteTier) serveRound(pc *comm.Comm, s int) {
-	req := pc.AlltoAllInt32(make([][]int32, 2))[0]
+	req := pc.IAlltoAllInt32(make([][]int32, 2)).Wait()[0]
 	kind, tables, ids := decodeRequest(req)
 	total := 0
 	for _, sub := range ids {
@@ -218,9 +219,9 @@ func (t *RemoteTier) serveRound(pc *comm.Comm, s int) {
 		}
 		resp := make([]*tensor.Tensor, 2)
 		resp[0] = rows
-		pc.AlltoAllTensors(resp)
+		pc.IAlltoAllTensorsQ(quant.None, resp).Wait()
 	case roundUpdate:
-		grads := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[0]
+		grads := pc.IAlltoAllTensorsQ(quant.None, make([]*tensor.Tensor, 2)).Wait()[0]
 		fresh := tensor.New(total, t.dim)
 		r := 0
 		for i, f := range tables {
@@ -240,7 +241,7 @@ func (t *RemoteTier) serveRound(pc *comm.Comm, s int) {
 		}
 		resp := make([]*tensor.Tensor, 2)
 		resp[0] = fresh
-		pc.AlltoAllTensors(resp)
+		pc.IAlltoAllTensorsQ(quant.None, resp).Wait()
 	default:
 		panic(fmt.Sprintf("embeddings: unknown round kind %d", kind))
 	}
@@ -307,8 +308,8 @@ func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 		pc := t.pairs[rc.rank][s][0]
 		req := encodeRequest(roundLookup, perTables[s], perIDs[s])
 		e0, _ := pc.Times()
-		pc.AlltoAllInt32(pair2(req))
-		rows := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
+		pc.IAlltoAllInt32(pair2(req)).Wait()
+		rows := pc.IAlltoAllTensorsQ(quant.None, make([]*tensor.Tensor, 2)).Wait()[1]
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.lookupExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.lookupCrossBytes, int64(4*len(req))+rowBytes(rows))
@@ -363,9 +364,9 @@ func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 			r += len(u.Rows)
 		}
 		e0, _ := pc.Times()
-		pc.AlltoAllInt32(pair2(req))
-		pc.AlltoAllTensors(pairT(grads))
-		fresh := pc.AlltoAllTensors(make([]*tensor.Tensor, 2))[1]
+		pc.IAlltoAllInt32(pair2(req)).Wait()
+		pc.IAlltoAllTensorsQ(quant.None, pairT(grads)).Wait()
+		fresh := pc.IAlltoAllTensorsQ(quant.None, make([]*tensor.Tensor, 2)).Wait()[1]
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.updateExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.updateCrossBytes, int64(4*len(req))+rowBytes(grads)+rowBytes(fresh))

@@ -279,8 +279,7 @@ func TestFigure9PipelineSmoke(t *testing.T) {
 
 func TestFigure9LearnedVariantRuns(t *testing.T) {
 	// The probe-trained variant must run; its structure is weak at smoke
-	// scale by design (documented in EXPERIMENTS.md), so only mechanics are
-	// asserted.
+	// scale by design (see Figure9Learned), so only mechanics are asserted.
 	r := Figure9Learned(Smoke())
 	if len(r.Groups) != qualityGroups || r.Source != "probe-trained embeddings" {
 		t.Fatalf("learned variant wrong: %d groups, %q", len(r.Groups), r.Source)

@@ -1,8 +1,8 @@
 // Package experiments contains one entry point per table and figure of the
 // paper's evaluation (§5) plus the §6 discussion experiments. Each entry
 // returns typed rows carrying both the reproduction's measurement and the
-// paper's reported value, so cmd/dmt-bench, the root benchmarks, and
-// EXPERIMENTS.md all render the same side-by-side comparison.
+// paper's reported value, so cmd/dmt-bench and the root benchmarks render
+// the same side-by-side comparison.
 package experiments
 
 import (

@@ -477,7 +477,7 @@ func Figure9(p Profile) Figure9Result {
 // Figure9Learned runs the same pipeline on embeddings from a probe-trained
 // DLRM, exposing how much structure the tables have acquired at the
 // profile's budget (at in-process scale: little — the matrix is nearly
-// flat, which is itself a documented finding in EXPERIMENTS.md).
+// flat).
 func Figure9Learned(p Profile) Figure9Result {
 	gen := qualityWorkload(p, 9099)
 	tc := trainConfig(p)

@@ -283,8 +283,8 @@ func (f *Fabric) Figure5Curve(coll Collective) []Figure5Point {
 	return out
 }
 
-// PaperFigure5 returns the paper's measured A100 values for comparison in
-// tests and EXPERIMENTS.md.
+// PaperFigure5 returns the paper's measured A100 values, which Figure 5's
+// experiment and the tests compare against.
 func PaperFigure5(coll Collective) []Figure5Point {
 	switch coll {
 	case AllReduce:

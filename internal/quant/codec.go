@@ -46,6 +46,14 @@ type Encoded struct {
 // Scheme returns the scheme the payload was encoded under.
 func (e *Encoded) Scheme() Scheme { return e.scheme }
 
+// Shape returns the shape of the encoded tensor.
+func (e *Encoded) Shape() []int {
+	if e.scheme == None {
+		return e.raw.Shape()
+	}
+	return e.shape
+}
+
 // toFloat16Sat converts with saturation: a finite value beyond the half
 // range clamps to ±65504 instead of overflowing to Inf — what real fp16
 // communication libraries do, and what keeps error-feedback residuals

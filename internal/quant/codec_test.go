@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dmt/internal/tensor"
@@ -70,6 +71,9 @@ func TestEncodeDecodeMatchesApply(t *testing.T) {
 			if enc.Scheme() != s {
 				t.Fatalf("encoded scheme %v, want %v", enc.Scheme(), s)
 			}
+			if !slices.Equal(enc.Shape(), shape) {
+				t.Fatalf("%s: encoded shape %v, want %v", s, enc.Shape(), shape)
+			}
 			if !enc.Decode().Equal(Apply(s, x)) {
 				t.Fatalf("%s %v: Encode∘Decode differs from Apply", s, shape)
 			}
@@ -113,8 +117,12 @@ func TestEncodedWireBytes(t *testing.T) {
 // reference, mirroring the raw collectives' zero-copy semantics.
 func TestEncodeNoneIsReference(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2}, 2)
-	if Encode(None, x).Decode() != x {
+	e := Encode(None, x)
+	if e.Decode() != x {
 		t.Fatal("None must decode to the original tensor")
+	}
+	if !slices.Equal(e.Shape(), x.Shape()) {
+		t.Fatalf("None shape %v, want %v", e.Shape(), x.Shape())
 	}
 }
 

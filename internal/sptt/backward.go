@@ -1,6 +1,7 @@
 package sptt
 
 import (
+	"dmt/internal/quant"
 	"fmt"
 
 	"dmt/internal/comm"
@@ -91,7 +92,7 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 			// the reduced value while peers may still be reading it.
 			dTmIn := mod.Backward(dCompressed) // (T*B, F_t, N)
 			for _, prm := range mod.Params() {
-				reduced := hostC.AllReduceSum(prm.Grad.Clone())
+				reduced := hostC.IAllReduceSumQ(quant.None, prm.Grad.Clone()).Wait()
 				prm.Grad.CopyFrom(reduced)
 			}
 			// Back to per-peer, feature-major layout (T, F_t, B*N).
@@ -120,7 +121,7 @@ func (e *Engine) SPTTBackward(st *SPTTState, dOuts []*tensor.Tensor) map[int]*nn
 			chunks[j] = blk
 			row += nj
 		}
-		got := hostC.AlltoAllTensors(chunks)
+		got := hostC.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 
 		// got[j] = class-j gradient slices of MY features: (nOwned, T, B, N).
 		ls := st.lookups[rank]

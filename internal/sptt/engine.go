@@ -1,6 +1,7 @@
 package sptt
 
 import (
+	"dmt/internal/quant"
 	"fmt"
 
 	"dmt/internal/comm"
@@ -76,7 +77,7 @@ func (e *Engine) distributeAndLookup(c *comm.Comm, in *Inputs, order []int) (*ra
 	for dst := 0; dst < cfg.G; dst++ {
 		chunks[dst] = encodeBags(cfg.OwnedFeatures(dst), in, cfg.B)
 	}
-	recvd := c.AlltoAllInt32(chunks)
+	recvd := c.IAlltoAllInt32(chunks).Wait()
 
 	owned := cfg.OwnedFeatures(c.Rank())
 	st := &rankLookupState{features: owned, order: order}
@@ -151,7 +152,7 @@ func (e *Engine) BaselineForward(inputs []*Inputs) ([]*tensor.Tensor, *BaselineS
 			}
 			chunks[dst] = blk
 		}
-		got := c.AlltoAllTensors(chunks)
+		got := c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 
 		// Assemble (B, F, N) in canonical feature order.
 		out := tensor.New(cfg.B, cfg.F(), cfg.N)
@@ -196,7 +197,7 @@ func (e *Engine) BaselineBackward(st *BaselineState, dOuts []*tensor.Tensor) map
 			}
 			chunks[dst] = blk
 		}
-		got := c.AlltoAllTensors(chunks)
+		got := c.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 
 		ls := st.lookups[rank]
 		out := make(map[int]*nn.SparseGrad, len(ls.features))

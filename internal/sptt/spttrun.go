@@ -128,8 +128,7 @@ func (gs *groupSet) fold() (globalM, hostM, peerM [][]int64) {
 }
 
 // SPTTState carries the cached lookups for backward plus per-phase traffic
-// matrices (G×G, global rank indexed) for the volume assertions in tests
-// and EXPERIMENTS.md.
+// matrices (G×G, global rank indexed) for the volume assertions in tests.
 type SPTTState struct {
 	lookups []*rankLookupState
 	modules []TowerModule // per rank; nil for the pass-through transform
@@ -316,7 +315,7 @@ func (e *Engine) spttRun(inputs []*Inputs, modules []TowerModule, opt Options) (
 			}
 			chunks[j] = blk
 		}
-		got := hostC.AlltoAllTensors(chunks)
+		got := hostC.IAlltoAllTensorsQ(quant.None, chunks).Wait()
 
 		// Assemble the tower's full feature set for my peer class:
 		// (F_t, T, B, N), features in host order.

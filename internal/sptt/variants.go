@@ -1,6 +1,7 @@
 package sptt
 
 import (
+	"dmt/internal/quant"
 	"fmt"
 	"sort"
 
@@ -79,7 +80,7 @@ func (e *Engine) SPTTForwardRowWise(inputs []*Inputs) ([]*tensor.Tensor, *RowWis
 		for dst := 0; dst < cfg.G; dst++ {
 			chunks[dst] = encodeBags(towerFeatureList[dst/L], inputs[rank], B)
 		}
-		recvd := c.AlltoAllInt32(chunks)
+		recvd := c.IAlltoAllInt32(chunks).Wait()
 
 		// Assemble global bags per tower feature; cache for backward.
 		decoded := make([][2][][]int32, cfg.G)
@@ -125,7 +126,7 @@ func (e *Engine) SPTTForwardRowWise(inputs []*Inputs) ([]*tensor.Tensor, *RowWis
 			}
 			rsChunks[k] = blk
 		}
-		towerData := hostC.ReduceScatterSum(rsChunks) // (F_t, T, B, N) complete pools
+		towerData := hostC.IReduceScatterSumQ(quant.None, rsChunks).Wait() // (F_t, T, B, N) complete pools
 
 		// Steps (e)+(f): identical to the table-wise path.
 		shuffled := tensor.Transpose3D01(towerData.Reshape(ft, T, B*N))
@@ -135,7 +136,7 @@ func (e *Engine) SPTTForwardRowWise(inputs []*Inputs) ([]*tensor.Tensor, *RowWis
 			copy(blk.Data(), shuffled.Data()[t*ft*B*N:(t+1)*ft*B*N])
 			pchunks[t] = blk
 		}
-		pg := peerC.AlltoAllTensors(pchunks)
+		pg := peerC.IAlltoAllTensorsQ(quant.None, pchunks).Wait()
 
 		out := tensor.New(B, cfg.F(), N)
 		for t := 0; t < T; t++ {
@@ -189,7 +190,7 @@ func (e *Engine) SPTTBackwardRowWise(st *RowWiseState, dOuts []*tensor.Tensor) m
 			}
 			pchunks[t] = blk
 		}
-		pg := peerC.AlltoAllTensors(pchunks)
+		pg := peerC.IAlltoAllTensorsQ(quant.None, pchunks).Wait()
 		dShuffled := tensor.New(T, ft, B*N)
 		for p := 0; p < T; p++ {
 			copy(dShuffled.Data()[p*ft*B*N:(p+1)*ft*B*N], pg[p].Data())
@@ -200,7 +201,7 @@ func (e *Engine) SPTTBackwardRowWise(st *RowWiseState, dOuts []*tensor.Tensor) m
 
 		// Reverse step (d): AllGather the class slices so every row shard
 		// sees the full global-batch gradient.
-		gathered := hostC.AllGather(dTower.Reshape(ft, T, B, N))
+		gathered := hostC.IAllGatherQ(quant.None, dTower.Reshape(ft, T, B, N)).Wait()
 
 		// Reassemble rank-ordered (G*B, N) per feature and scatter into my
 		// row range only.
