@@ -152,13 +152,15 @@ bench-hotpath-check:
 	$(GO) test -run '^(TestFusedCutsAllocs|TestPooledEncodeAllocs)$$' -v ./internal/quant
 	$(GO) test -run '^TestEmbeddingBackwardAllocs$$' -v ./internal/nn
 
-# Short native-fuzz runs over the wire codec and the collectives (go test
-# allows one -fuzz target per invocation, hence the separate runs).
+# Short native-fuzz runs over the wire codec, the collectives and the SIMD
+# GEMM kernels against their pure-Go routines (go test allows one -fuzz
+# target per invocation, hence the separate runs).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloat16RoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzLinearQuantRoundTrip$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzFusedCodec$$' -fuzztime 10s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectiveInterleaving$$' -fuzztime 10s ./internal/comm
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelBitwise$$' -fuzztime 10s ./internal/tensor
 
 serve-demo:
 	$(GO) run ./cmd/dmt-serve -requests 8192 -concurrency 32

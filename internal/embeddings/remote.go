@@ -60,7 +60,10 @@ type RemoteTier struct {
 	// group rank 0, server rank 1).
 	pairs   [][][]*comm.Comm
 	clients []Store
-	opts    []*nn.SparseAdam // per server
+	// roundDone[c][s] receives once per round server s finishes for
+	// client c (buffered: a server is never more than one round ahead).
+	roundDone [][]chan struct{}
+	opts      []*nn.SparseAdam // per server
 
 	done   chan struct{}
 	closed int32
@@ -98,10 +101,13 @@ func NewRemote(cfg RemoteConfig) *RemoteTier {
 	}
 
 	t.pairs = make([][][]*comm.Comm, cfg.Clients)
+	t.roundDone = make([][]chan struct{}, cfg.Clients)
 	linked := make([][]*comm.Comm, 0, cfg.Clients*cfg.Servers)
 	for c := 0; c < cfg.Clients; c++ {
 		t.pairs[c] = make([][]*comm.Comm, cfg.Servers)
+		t.roundDone[c] = make([]chan struct{}, cfg.Servers)
 		for s := 0; s < cfg.Servers; s++ {
+			t.roundDone[c][s] = make(chan struct{}, 1)
 			var pg []*comm.Comm
 			if cfg.Net != nil {
 				pg = comm.NewGroupNet(2, cfg.Net, []int{c, cfg.Clients + s})
@@ -193,6 +199,7 @@ func (t *RemoteTier) serveLoop(c *comm.Comm) {
 	for {
 		for cl := 0; cl < t.cfg.Clients; cl++ {
 			t.serveRound(t.pairs[cl][s][1], s)
+			t.roundDone[cl][s] <- struct{}{}
 		}
 	}
 }
@@ -244,6 +251,18 @@ func (t *RemoteTier) serveRound(pc *comm.Comm, s int) {
 		pc.IAlltoAllTensorsQ(quant.None, resp).Wait()
 	default:
 		panic(fmt.Sprintf("embeddings: unknown round kind %d", kind))
+	}
+}
+
+// awaitRound blocks until server s has finished client c's current round.
+// The client's last receive of a round can complete before the server's,
+// and that server receive advances the server's virtual clock; without the
+// wait, the advance would land in whichever phase the trainer measures
+// next, and Network.Now-based phase times would vary from run to run.
+func (t *RemoteTier) awaitRound(c, s int) {
+	select {
+	case <-t.roundDone[c][s]:
+	case <-t.done:
 	}
 }
 
@@ -310,6 +329,7 @@ func (rc *remoteClient) Lookup(reqs []Req) []*tensor.Tensor {
 		e0, _ := pc.Times()
 		pc.IAlltoAllInt32(pair2(req)).Wait()
 		rows := pc.IAlltoAllTensorsQ(quant.None, make([]*tensor.Tensor, 2)).Wait()[1]
+		t.awaitRound(rc.rank, s)
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.lookupExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.lookupCrossBytes, int64(4*len(req))+rowBytes(rows))
@@ -367,6 +387,7 @@ func (rc *remoteClient) Update(ups []Upd) []*tensor.Tensor {
 		pc.IAlltoAllInt32(pair2(req)).Wait()
 		pc.IAlltoAllTensorsQ(quant.None, pairT(grads)).Wait()
 		fresh := pc.IAlltoAllTensorsQ(quant.None, make([]*tensor.Tensor, 2)).Wait()[1]
+		t.awaitRound(rc.rank, s)
 		e1, _ := pc.Times()
 		atomic.AddInt64(&t.updateExposedNS, int64(e1-e0))
 		atomic.AddInt64(&t.updateCrossBytes, int64(4*len(req))+rowBytes(grads)+rowBytes(fresh))

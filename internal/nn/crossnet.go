@@ -48,7 +48,8 @@ func (c *CrossNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 	cur := x
 	for l := range c.Ws {
 		c.lastXs = append(c.lastXs, cur)
-		u := tensor.AddRowVector(tensor.MatMulBT(cur, c.Ws[l].Value), c.Bs[l].Value)
+		u := tensor.MatMulBT(cur, c.Ws[l].Value)
+		tensor.AddRowVectorInPlace(u, c.Bs[l].Value)
 		c.lastUs = append(c.lastUs, u)
 		next := tensor.Add(tensor.Mul(c.lastX0, u), cur)
 		cur = next
@@ -72,7 +73,7 @@ func (c *CrossNet) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		tensor.AddInPlace(dx0, tensor.Mul(dcur, ul))
 		du := tensor.Mul(dcur, c.lastX0)
 		// u = W x_l + b: dW += duᵀ x_l, db += Σ du, dx_l += du W.
-		tensor.AddInPlace(c.Ws[l].Grad, tensor.MatMulAT(du, xl))
+		tensor.AddMatMulAT(c.Ws[l].Grad, du, xl)
 		tensor.AddInPlace(c.Bs[l].Grad, tensor.SumRows(du))
 		dxl := tensor.MatMul(du, c.Ws[l].Value)
 		dcur = tensor.Add(dxl, dcur)

@@ -18,24 +18,23 @@ func (l *Linear) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	return l.apply(x)
 }
 
-// reluApply is max(x, 0) without an activation mask.
-func reluApply(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
+// reluInPlace sets x to max(x, 0) without an activation mask.
+func reluInPlace(x *tensor.Tensor) {
+	xd := x.Data()
 	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
+		if !(v > 0) {
+			xd[i] = 0
 		}
 	}
-	return out
 }
 
 // ForwardInference applies the MLP stack without caching activations.
+// Each ReLU runs in place over its Linear layer's fresh output.
 func (m *MLP) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
 		x = l.ForwardInference(x)
 		if i < len(m.Layers)-1 || m.FinalReLU {
-			x = reluApply(x)
+			reluInPlace(x)
 		}
 	}
 	return x
@@ -57,7 +56,8 @@ func (c *CrossNet) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	}
 	cur := x
 	for l := range c.Ws {
-		u := tensor.AddRowVector(tensor.MatMulBT(cur, c.Ws[l].Value), c.Bs[l].Value)
+		u := tensor.MatMulBT(cur, c.Ws[l].Value)
+		tensor.AddRowVectorInPlace(u, c.Bs[l].Value)
 		cur = tensor.Add(tensor.Mul(x, u), cur)
 	}
 	return cur

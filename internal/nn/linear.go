@@ -33,7 +33,9 @@ func (l *Linear) apply(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: Linear expects %d input features, got shape %v", l.In, x.Shape()))
 	}
-	return tensor.AddRowVector(tensor.MatMulBT(x, l.W.Value), l.B.Value)
+	y := tensor.MatMulBT(x, l.W.Value)
+	tensor.AddRowVectorInPlace(y, l.B.Value)
+	return y
 }
 
 // Forward computes y = x Wᵀ + b for x of shape (batch, In).
@@ -49,8 +51,8 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	// dW = dYᵀ · X, accumulated.
-	tensor.AddInPlace(l.W.Grad, tensor.MatMulAT(dy, l.lastX))
+	// dW += dYᵀ · X.
+	tensor.AddMatMulAT(l.W.Grad, dy, l.lastX)
 	tensor.AddInPlace(l.B.Grad, tensor.SumRows(dy))
 	// dX = dY · W.
 	return tensor.MatMul(dy, l.W.Value)
@@ -66,18 +68,23 @@ type ReLU struct {
 
 // Forward computes max(x, 0) elementwise.
 func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	return a.forwardInto(tensor.New(x.Shape()...), x)
+}
+
+// forwardInto writes max(x, 0) into out, which may be x itself, and
+// returns out.
+func (a *ReLU) forwardInto(out, x *tensor.Tensor) *tensor.Tensor {
 	if cap(a.mask) < x.Len() {
 		a.mask = make([]bool, x.Len())
 	}
 	a.mask = a.mask[:x.Len()]
 	xd, od := x.Data(), out.Data()
 	for i, v := range xd {
+		a.mask[i] = v > 0
 		if v > 0 {
 			od[i] = v
-			a.mask[i] = true
 		} else {
-			a.mask[i] = false
+			od[i] = 0
 		}
 	}
 	return out
@@ -122,12 +129,13 @@ func NewMLP(r *tensor.RNG, in int, sizes []int, finalReLU bool, name string) *ML
 // OutDim returns the dimensionality of the MLP output.
 func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
 
-// Forward applies the stack.
+// Forward applies the stack. Each ReLU runs in place over its Linear
+// layer's fresh output, which nothing else holds.
 func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for i, l := range m.Layers {
 		x = l.Forward(x)
 		if i < len(m.Layers)-1 || m.FinalReLU {
-			x = m.acts[i].Forward(x)
+			x = m.acts[i].forwardInto(x, x)
 		}
 	}
 	return x

@@ -7,17 +7,21 @@ import (
 )
 
 // Kernel is the swappable matrix-kernel backend behind MatMul, MatMulBT,
-// MatMulAT, and BatchedPairwiseDot — the seam that lets a future SIMD or
-// assembly backend drop in without touching any caller (nn, distributed,
-// serve all reach these ops only through the package-level entry points).
+// MatMulAT, AddMatMulAT and BatchedPairwiseDot; nn, distributed and serve
+// reach these ops only through the package-level entry points.
 //
 // Contract, which every backend must honor:
 //
-//   - out arrives zero-filled and is written exactly once per element.
-//   - Each output element accumulates its dot product in ascending p
-//     (reduction-index) order, exactly like the serial reference kernel, so
-//     swapping backends never changes float32 results — the training golden
-//     trajectories are pinned bitwise against the serial kernel.
+//   - MatMul, MatMulBT and PairwiseDot receive a zero-filled out.
+//     MatMulAT adds into out: each element becomes out + Σ, Σ its own sum,
+//     which on a zero-filled out is Σ itself.
+//   - Each output element's sum Σ starts from +0 and adds separately
+//     rounded products (no fused multiply-add) in ascending p
+//     (reduction-index) order, exactly like the pure-Go routines, so
+//     swapping backends never changes float32 results — the training
+//     golden trajectories are pinned bitwise against them.
+//   - The zero rule is fixed per op: MatMul and MatMulAT skip the term of a
+//     ±0 element of a; MatMulBT and PairwiseDot keep every product.
 //   - The backend owns its parallelism; callers may invoke it from many
 //     goroutines at once (the rank-parallel training engine does).
 type Kernel interface {
@@ -27,7 +31,7 @@ type Kernel interface {
 	MatMul(a, b, out []float32, m, k, n int)
 	// MatMulBT computes out = a @ bᵀ for a (m, k), b (n, k), out (m, n).
 	MatMulBT(a, b, out []float32, m, k, n int)
-	// MatMulAT computes out = aᵀ @ b for a (k, m), b (k, n), out (m, n).
+	// MatMulAT computes out += aᵀ @ b for a (k, m), b (k, n), out (m, n).
 	MatMulAT(a, b, out []float32, k, m, n int)
 	// PairwiseDot computes, per sample s of x (bs, f, n), the (f, f) matrix
 	// of pairwise dots between x's feature vectors into out (bs, f, f).
@@ -69,8 +73,8 @@ func KernelNames() []string {
 	return names
 }
 
-// RegisterKernel adds a backend to the registry (the drop-in point for a
-// future SIMD/assembly implementation). Call before compute starts.
+// RegisterKernel adds a backend to the registry. Call before compute
+// starts.
 func RegisterKernel(k Kernel) {
 	kernels[k.Name()] = k
 }

@@ -6,10 +6,17 @@ import (
 )
 
 // Over-arch layer shapes: the batched activations (m = batch) against the
-// wide MLP weight matrices the paper's dense tower is made of.
+// wide MLP weight matrices the paper's dense tower is made of, then the
+// train-compute benchmark's per-rank batch of 64 through its over-arch
+// (152→512→256→1) and bottom MLP (13→32→16) layers.
 var hotpathShapes = []struct{ m, k, n int }{
 	{256, 512, 512},
 	{512, 512, 512},
+	{64, 152, 512},
+	{64, 512, 256},
+	{64, 256, 1},
+	{64, 13, 32},
+	{64, 32, 16},
 }
 
 // BenchmarkHotpathMatMul compares the serial and parallel tiled backends at
@@ -26,6 +33,14 @@ func BenchmarkHotpathMatMul(b *testing.B) {
 func BenchmarkHotpathMatMulBT(b *testing.B) {
 	benchmarkKernels(b, func(k Kernel, a, w, out []float32, m, kk, n int) {
 		k.MatMulBT(a, w, out, m, kk, n)
+	})
+}
+
+// BenchmarkHotpathMatMulAT is the weight-gradient kernel; a is read as
+// (k, m).
+func BenchmarkHotpathMatMulAT(b *testing.B) {
+	benchmarkKernels(b, func(k Kernel, a, w, out []float32, m, kk, n int) {
+		k.MatMulAT(a, w, out, kk, m, n)
 	})
 }
 

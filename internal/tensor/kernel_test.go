@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"os"
 	"testing"
 )
@@ -19,10 +20,11 @@ func kernelPairs(t *testing.T) (serial, parallel Kernel) {
 }
 
 // TestParallelKernelBitwiseMatchesSerial pins the tiled parallel backend
-// bitwise against the serial reference across shapes that exercise every
-// tiling edge: rows not a multiple of the tile height, partial 4-row slabs
-// in MatMulBT, single rows/columns, zero entries (the skip-zero fast path),
-// and the over-arch layer shapes the backend exists for.
+// bitwise against the serial reference, and both against the pure-Go
+// routines, across shapes that exercise every tiling edge: rows not a
+// multiple of the tile height, partial 4-row slabs and packed panels in
+// MatMulBT, single rows/columns, zero entries (the skip-zero path), and the
+// layer shapes the benchmark workloads run.
 func TestParallelKernelBitwiseMatchesSerial(t *testing.T) {
 	serial, parallel := kernelPairs(t)
 	r := NewRNG(42)
@@ -34,16 +36,31 @@ func TestParallelKernelBitwiseMatchesSerial(t *testing.T) {
 		{64, 16, 129},   // wide output
 		{256, 512, 512}, // over-arch shape
 		{130, 64, 1},
+		// train-compute, batch 64 per rank: each layer's forward (MatMulBT),
+		// weight gradient (MatMulAT) and input gradient (MatMul) shape.
+		{64, 152, 512}, {512, 64, 152}, {64, 512, 152}, // over-arch 152→512
+		{64, 512, 256}, {256, 64, 512}, {64, 256, 512}, // 512→256
+		{64, 256, 1}, {1, 64, 256}, {64, 1, 256}, // 256→1
+		{64, 13, 32}, {32, 64, 13}, {64, 32, 13}, // bottom MLP 13→32
+		{64, 32, 16}, {16, 64, 32}, {64, 16, 32}, // 32→16
+		// Serving the DMT-DLRM over-arch (44→512→256→1) at batch 1 and 32.
+		{1, 44, 512}, {32, 44, 512}, {1, 512, 256}, {32, 512, 256}, {1, 256, 1}, {32, 256, 1},
 	}
 	for _, sh := range shapes {
 		a := RandUniform(r, -2, 2, sh.m, sh.k)
 		b := RandUniform(r, -2, 2, sh.k, sh.n)
 		bt := RandUniform(r, -2, 2, sh.n, sh.k)
 		at := RandUniform(r, -2, 2, sh.k, sh.m)
+		g := RandUniform(r, -2, 2, sh.m, sh.n)
 		// Sprinkle exact zeros so the skip-zero path runs in both backends.
 		for i := 0; i < a.Len(); i += 7 {
 			a.Data()[i] = 0
 		}
+		for i := 0; i < at.Len(); i += 5 {
+			at.Data()[i] = 0
+		}
+		checkAgainstGo(t, fmt.Sprintf("m=%d k=%d n=%d", sh.m, sh.k, sh.n),
+			a.Data(), b.Data(), bt.Data(), at.Data(), g.Data(), sh.m, sh.k, sh.n)
 
 		check := func(name string, run func(k Kernel) *Tensor) {
 			want := run(serial)
@@ -93,7 +110,7 @@ func TestParallelPairwiseDotBitwiseMatchesSerial(t *testing.T) {
 
 // TestKernelSeam exercises the backend selection surface: SetKernel swaps
 // the backend the package-level ops dispatch to and restores cleanly, and a
-// registered third-party backend (the future SIMD drop-in) is selectable.
+// registered third-party backend is selectable.
 func TestKernelSeam(t *testing.T) {
 	if got := ActiveKernel().Name(); got != "parallel" && os.Getenv("DMT_KERNEL") == "" {
 		t.Fatalf("default kernel = %q, want parallel", got)
@@ -120,7 +137,7 @@ func TestKernelSeam(t *testing.T) {
 		t.Fatal("SetKernel accepted an unknown backend")
 	}
 
-	// A custom backend registers and becomes selectable — the SIMD seam.
+	// A custom backend registers and becomes selectable.
 	RegisterKernel(tattleKernel{})
 	restore2, err := SetKernel("tattle")
 	if err != nil {

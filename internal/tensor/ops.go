@@ -47,8 +47,24 @@ func Scale(a *Tensor, s float32) *Tensor {
 // AddInPlace accumulates src into dst (dst += src).
 func AddInPlace(dst, src *Tensor) {
 	mustSameShape("AddInPlace", dst, src)
-	for i := range dst.data {
-		dst.data[i] += src.data[i]
+	addSlices(dst.data, src.data)
+}
+
+// addSlices computes dst[i] += src[i] over len(dst) elements, in 8-float
+// lanes on an AVX2 host.
+func addSlices(dst, src []float32) {
+	src = src[:len(dst)]
+	if useAVX2 && len(dst) > 0 {
+		addAVX2(&dst[0], &src[0], len(dst))
+		return
+	}
+	addSlicesGo(dst, src)
+}
+
+// addSlicesGo is the pure-Go addSlices.
+func addSlicesGo(dst, src []float32) {
+	for i := range dst {
+		dst[i] += src[i]
 	}
 }
 
@@ -63,22 +79,19 @@ func AXPY(alpha float32, src, dst []float32) {
 	}
 }
 
-// AddRowVector adds a length-w vector to every row of a (h, w) tensor,
-// returning a new tensor. Used for linear-layer biases.
-func AddRowVector(a, v *Tensor) *Tensor {
+// AddRowVectorInPlace adds a length-w vector to every row of a (h, w)
+// tensor in place. Used for linear-layer biases.
+func AddRowVectorInPlace(a, v *Tensor) {
 	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: AddRowVector shapes %v, %v", a.shape, v.shape))
+		panic(fmt.Sprintf("tensor: AddRowVectorInPlace shapes %v, %v", a.shape, v.shape))
 	}
-	out := New(a.shape...)
 	w := a.shape[1]
 	for r := 0; r < a.shape[0]; r++ {
 		av := a.data[r*w : (r+1)*w]
-		ov := out.data[r*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			ov[c] = av[c] + v.data[c]
+		for c, bv := range v.data {
+			av[c] += bv
 		}
 	}
-	return out
 }
 
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).
@@ -120,7 +133,7 @@ func (t *Tensor) L2Norm() float64 {
 }
 
 // SumRows reduces a (h, w) tensor over rows, returning a length-w vector.
-// It is the backward of AddRowVector with respect to the vector.
+// It is the backward of AddRowVectorInPlace with respect to the vector.
 func SumRows(a *Tensor) *Tensor {
 	if len(a.shape) != 2 {
 		panic("tensor: SumRows requires a 2-D tensor")

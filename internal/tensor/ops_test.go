@@ -43,11 +43,11 @@ func TestAddInPlaceAndAXPY(t *testing.T) {
 func TestAddRowVector(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := FromSlice([]float32{10, 20, 30}, 3)
-	out := AddRowVector(a, v)
+	AddRowVectorInPlace(a, v)
 	want := []float32{11, 22, 33, 14, 25, 36}
 	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("AddRowVector got %v want %v", out.Data(), want)
+		if a.Data()[i] != w {
+			t.Fatalf("AddRowVectorInPlace got %v want %v", a.Data(), want)
 		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 
 // parallelKernel is the goroutine-parallel tiled backend: the default for
 // the large over-arch layers of the training step and the serve predict
-// path. Output rows are cut into fixed-size tiles and tile t is always
-// executed by worker t % workers — deterministic tile ownership, and since
-// tiles never share output elements and every tile runs the same serial
-// row-range routine, the result is bitwise identical to the serial backend
-// no matter how the scheduler interleaves the workers.
+// path. Output rows (columns, for MatMulBT) are cut into fixed-size tiles
+// and tile t is always executed by worker t % workers — deterministic tile
+// ownership, and since tiles never share output elements and every tile
+// runs the same serial range routine, the result is bitwise identical to
+// the serial backend no matter how the scheduler interleaves the workers.
 type parallelKernel struct{}
 
 func (parallelKernel) Name() string { return "parallel" }
@@ -21,13 +21,12 @@ func (parallelKernel) Name() string { return "parallel" }
 // models) stay on the calling goroutine to avoid scheduling cost.
 const parallelThreshold = 1 << 14
 
-// Tile heights, in output rows. MatMul/MatMulAT rows stream the full b
-// matrix, so modest tiles keep the fan-out balanced; MatMulBT tiles are a
-// multiple of 4 so every full slab inside a tile takes the register-tiled
-// 4-row kernel, exactly as in the serial backend.
+// Tile sizes. MatMul/MatMulAT tiles are output rows; each streams the full
+// b matrix, so modest tiles keep the fan-out balanced. MatMulBT tiles are
+// btPanel output columns, so each tile packs its own panel of bᵀ once and
+// runs every row against it.
 const (
 	tileRowsMatMul = 8
-	tileRowsBT     = 16
 	tileSamplesPD  = 4
 )
 
@@ -73,8 +72,8 @@ func (parallelKernel) MatMul(a, b, out []float32, m, k, n int) {
 }
 
 func (parallelKernel) MatMulBT(a, b, out []float32, m, k, n int) {
-	runTiles(m, tileRowsBT, m*n*k, func(lo, hi int) {
-		matMulBTRows(a, b, out, k, n, lo, hi)
+	runTiles(n, btPanel, m*n*k, func(lo, hi int) {
+		matMulBTCols(a, b, out, m, k, n, lo, hi)
 	})
 }
 
